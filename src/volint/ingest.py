@@ -239,11 +239,9 @@ def _parse_tick_lines(fh: IO[str]) -> ParsedTicks:
 
 def tick_days(ticks: Iterable[TickRecord], utc_offset_minutes: int = 0) -> tuple[date, ...]:
     """Distinct wall-clock dates covered by the ticks, sorted."""
-    seen = {
-        datetime.utcfromtimestamp(t.timestamp + utc_offset_minutes * 60).date()
-        for t in ticks
-    }
-    return tuple(sorted(seen))
+    offset = utc_offset_minutes * 60
+    day_numbers = {int((t.timestamp + offset) // 86_400) for t in ticks}
+    return tuple(date(1970, 1, 1) + timedelta(days=d) for d in sorted(day_numbers))
 
 
 def sample_minutely(ticks: list[TickRecord], cal: TradingCalendar) -> MinuteSeries:

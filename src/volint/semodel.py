@@ -19,6 +19,10 @@ a lattice with step h = 1 / <tau>. For such data ``fit_mle`` maximizes the
 interval-censored likelihood, in which tau = k means the continuous
 interval fell in ((k - 1) h, k h] (the discretised-Weibull idea of Nakagawa
 & Osaki 1975).
+
+For continuous data the likelihood has a closed-form maximum in a at fixed
+gamma, a(gamma) = n / (gamma * sum(x**gamma)), so ``fit_mle`` maximizes the
+profile likelihood over gamma alone with one bounded scalar search.
 """
 
 from __future__ import annotations
@@ -148,13 +152,31 @@ def analytic_moment(model: SEModel, m: float) -> float:
     return model.a ** (-1.0 / g) * float(np.exp(log_ratio / m))
 
 
-def _nll(params: np.ndarray, x: np.ndarray) -> float:
-    a, g = params
-    if a <= 0 or g <= 0:
-        return np.inf
-    n = len(x)
-    ll = n * (np.log(g) + np.log(a) / g - gammaln(1.0 / g)) - a * float(np.sum(x**g))
-    return -ll
+def _profile_a(g: float, x_pow_g: np.ndarray) -> float:
+    """a(gamma) = n / (gamma * sum(x**gamma)), the continuous MLE of a at fixed gamma.
+
+    ``x_pow_g`` holds the n terms x**gamma.
+    """
+    return len(x_pow_g) / (g * float(np.sum(x_pow_g)))
+
+
+def _profile_log_a(g: float, shifted_log_x: np.ndarray, top: float) -> float:
+    """log a(gamma) for the values x = exp(shifted_log_x + top), max(shifted_log_x) = 0.
+
+    Each term exp(gamma * shifted_log_x) lies in [0, 1] and their sum in
+    [1, n], a logsumexp that cannot overflow; dividing x by exp(top)
+    multiplies a(gamma) by exp(gamma * top).
+    """
+    return float(np.log(_profile_a(g, np.exp(g * shifted_log_x)))) - g * top
+
+
+def _profile_nll(g: float, shifted_log_x: np.ndarray, top: float) -> float:
+    """Continuous negative log-likelihood at (a(gamma), gamma).
+
+    There a * sum(x**gamma) = n / gamma, so the likelihood needs only log a.
+    """
+    log_a = _profile_log_a(g, shifted_log_x, top)
+    return -len(shifted_log_x) * (np.log(g) + (log_a - 1.0) / g - gammaln(1.0 / g))
 
 
 def _log_sf(s: float, u: np.ndarray) -> np.ndarray:
@@ -195,14 +217,16 @@ def fit_mle(sample: np.ndarray) -> SEModel:
     """Maximum-likelihood fit of (a, gamma) with c constrained.
 
     For a plain array, maximizes the continuous likelihood
-    sum(log(c * exp(-a * x**gamma))). For lattice input, an array that
-    carries a ``step`` h such as ``IntervalSample.scaled()`` returns, each
-    value x = k h counts as a continuous value censored to ((k-1) h, k h]
-    and the likelihood is sum_k c_k log(S((k-1) h) - S(k h)), with c_k the
-    number of values equal to k h and S the model's survival function.
-    Either way the optimization is bounded (gamma in [0.05, 2], a > 0) and
-    multi-started from gamma in {0.3, 0.6, 1.0} with the profile-optimal a
-    of the continuous likelihood at each start.
+    sum(log(c * exp(-a * x**gamma))) through its profile in gamma: at fixed
+    gamma the best a is a(gamma) = n / (gamma * sum(x**gamma)), so one
+    bounded scalar search over gamma in [0.05, 2] (bounds included) finds
+    the optimum. For lattice input, an array that carries a ``step`` h such
+    as ``IntervalSample.scaled()`` returns, each value x = k h counts as a
+    continuous value censored to ((k-1) h, k h] and the likelihood is
+    sum_k c_k log(S((k-1) h) - S(k h)), with c_k the number of values equal
+    to k h and S the model's survival function. That optimization is
+    bounded (gamma in [0.05, 2], a > 0) and multi-started from gamma in
+    {0.3, 0.6, 1.0} with a(gamma) at each start.
 
     Parameters
     ----------
@@ -221,7 +245,8 @@ def fit_mle(sample: np.ndarray) -> SEModel:
         Fewer than 50 values, any value <= 0, or values that are not
         multiples of their ``step``.
     FitFailureError
-        No start converged; carries the best iterate in ``best``.
+        The optimum is not finite (continuous), or no start converged
+        (lattice); carries the best iterate in ``best``.
     """
     step = getattr(sample, "step", None)
     x = np.asarray(sample, dtype=np.float64)
@@ -230,22 +255,20 @@ def fit_mle(sample: np.ndarray) -> SEModel:
     if not np.all(np.isfinite(x)) or np.any(x <= 0):
         raise ValueError("MLE fit needs strictly positive finite values")
     if step is None:
-        nll, args = _nll, (x,)
-    else:
-        ratio = x / step
-        k = np.rint(ratio)
-        if np.any(np.abs(ratio - k) > 1e-6) or np.any(k < 1):
-            raise ValueError("lattice values must be positive multiples of their step")
-        k, count = np.unique(k, return_counts=True)
-        nll, args = _censored_nll, (k, count, float(step))
+        return _fit_profile(x)
+
+    ratio = x / step
+    k = np.rint(ratio)
+    if np.any(np.abs(ratio - k) > 1e-6) or np.any(k < 1):
+        raise ValueError("lattice values must be positive multiples of their step")
+    k, count = np.unique(k, return_counts=True)
 
     best: optimize.OptimizeResult | None = None
     for g0 in _MLE_STARTS:
-        a0 = len(x) / (g0 * float(np.sum(x**g0)))
         res = optimize.minimize(
-            nll,
-            x0=np.array([a0, g0]),
-            args=args,
+            _censored_nll,
+            x0=np.array([_profile_a(g0, x**g0), g0]),
+            args=(k, count, float(step)),
             method="L-BFGS-B",
             bounds=[(1e-10, None), GAMMA_BOUNDS],
         )
@@ -257,6 +280,28 @@ def fit_mle(sample: np.ndarray) -> SEModel:
             best=None if best is None else tuple(best.x),
         )
     a, g = float(best.x[0]), float(best.x[1])
+    return SEModel.normalized(a=a, gamma=g)
+
+
+def _fit_profile(x: np.ndarray) -> SEModel:
+    """Continuous MLE: minimize the profile likelihood over gamma in GAMMA_BOUNDS."""
+    log_x = np.log(x)
+    top = float(np.max(log_x))
+    args = (log_x - top, top)
+    # an xatol far below the default 1e-5 leaves only the search's relative
+    # floor, a few 1e-8 * gamma, between the result and the optimum
+    res = optimize.minimize_scalar(
+        _profile_nll, bounds=GAMMA_BOUNDS, args=args, method="bounded", options={"xatol": 1e-10}
+    )
+    # the bounded search only approaches the bounds, so try them as well
+    g, nll = min(
+        [(float(res.x), float(res.fun))] + [(b, _profile_nll(b, *args)) for b in GAMMA_BOUNDS],
+        key=lambda t: t[1],
+    )
+    with np.errstate(over="ignore"):
+        a = float(np.exp(_profile_log_a(g, *args)))
+    if not (np.isfinite(nll) and 0.0 < a < np.inf):
+        raise FitFailureError("profile likelihood has no finite optimum", best=(a, g))
     return SEModel.normalized(a=a, gamma=g)
 
 

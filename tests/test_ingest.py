@@ -9,6 +9,7 @@ from volint import (
     EmptySeriesError,
     FormatError,
     MinuteSeries,
+    TickRecord,
     TradingCalendar,
     parse_ticks,
     sample_minutely,
@@ -193,6 +194,19 @@ def test_tick_days(tick_csv):
     )
     days = tick_days(parse_ticks(path).records)
     assert tuple(days) == (date(2004, 1, 5), date(2004, 1, 7))
+
+
+@pytest.mark.parametrize(
+    "offset, expected",
+    [
+        (0, (date(2004, 1, 5), date(2004, 1, 6))),
+        (480, (date(2004, 1, 6),)),
+    ],
+)
+def test_tick_days_at_midnight(offset, expected):
+    midnight = 1073347200.0  # 2004-01-06 00:00:00 UTC
+    ticks = [TickRecord(midnight - 0.5, 1.0), TickRecord(midnight, 1.0)]
+    assert tick_days(ticks, utc_offset_minutes=offset) == expected
 
 
 def test_minute_csv_round_trip(tmp_path, rng):

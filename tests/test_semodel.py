@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gammaincinv
+from scipy.special import gammaincinv, gammaln
 
 from volint import (
     FitFailureError,
@@ -20,7 +20,7 @@ from volint import (
     normalization_c,
     se_cdf,
 )
-from volint.semodel import _censored_nll
+from volint.semodel import GAMMA_BOUNDS, _censored_nll
 
 PAIRS = [(2.0, 0.3), (5.79, 0.43), (14.2, 0.38), (26.0, 0.6), (1.0, 1.0)]
 
@@ -153,11 +153,49 @@ def test_fit_mle_on_exponential_data():
     assert 0.95 < fitted.gamma < 1.05
 
 
+def _continuous_nll(a, g, x):
+    """-sum(log f(x)) for f = c exp(-a x**g), c = normalization_c(a, g)."""
+    return -(len(x) * (np.log(g) + np.log(a) / g - gammaln(1.0 / g)) - a * np.sum(x**g))
+
+
 def test_fit_mle_plain_array_unchanged():
-    # the continuous fit as it was before the censored likelihood was added
-    fitted = fit_mle(SEModel.normalized(5.79, 0.43).sample(2_000, seed=0))
-    np.testing.assert_allclose(fitted.a, 5.781108669753378, rtol=1e-12)
-    np.testing.assert_allclose(fitted.gamma, 0.42514577142213195, rtol=1e-12)
+    # pinned from the profile-likelihood fit; the earlier three-start L-BFGS-B
+    # fit stopped at (5.781108669753378, 0.42514577142213195), which must not
+    # have the higher likelihood
+    x = SEModel.normalized(5.79, 0.43).sample(2_000, seed=0)
+    fitted = fit_mle(x)
+    np.testing.assert_allclose(fitted.a, 5.781109578966131, rtol=1e-12)
+    np.testing.assert_allclose(fitted.gamma, 0.42514563913233816, rtol=1e-12)
+    assert _continuous_nll(fitted.a, fitted.gamma, x) <= _continuous_nll(
+        5.781108669753378, 0.42514577142213195, x
+    )
+
+
+@pytest.mark.parametrize("n", [50, 10_000])
+@pytest.mark.parametrize("gamma", [0.05, 0.06, 0.38, 1.0, 1.95])
+def test_fit_mle_finds_global_profile_optimum(gamma, n):
+    # gamma = 0.05 at n = 10_000 puts the optimum on the lower bound
+    x = SEModel.normalized(1.0, gamma).sample(n, seed=11)
+    x /= x.mean()
+    fitted = fit_mle(x)
+    nll_fit = _continuous_nll(fitted.a, fitted.gamma, x)
+    for g in np.linspace(*GAMMA_BOUNDS, 2_000):
+        a = n / (g * np.sum(x**g))
+        assert nll_fit <= _continuous_nll(a, g, x) + 1e-9
+
+
+def test_fit_mle_extreme_values_stay_finite():
+    # x**gamma overflows a plain sum for gamma near 2; on the tiny values
+    # a(gamma) itself overflows near the gamma of the fit
+    huge = SEModel.normalized(1e-8, 0.05).sample(2_000, seed=2)
+    tiny = SEModel.normalized(1.0, 1.95).sample(2_000, seed=2) * 1e-300
+    assert huge.max() > 1e150
+    for x in (huge, tiny):
+        try:
+            fitted = fit_mle(x)
+        except (FitFailureError, ValueError):
+            continue
+        assert np.all(np.isfinite([fitted.c, fitted.a, fitted.gamma]))
 
 
 def test_fit_mle_censored_geometric_is_exponential():
