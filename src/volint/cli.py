@@ -9,58 +9,54 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .config import RunConfig, validate_config
 from .errors import ConfigError, DataError, StageError, VolintError
-from .intervals import extract_intervals, scaled_pdf, empirical_cdf
-from .kstest import ks_matrix
-from .pipeline import _write_csv, fit_threshold, load_normalized, run_analyze
-from .moments import ess_xi, fit_alpha, moment_curve
+from .pipeline import (
+    run_analyze,
+    run_stages,
+    stage_fit,
+    stage_ingest,
+    stage_intervals,
+    stage_ks,
+    stage_moments,
+    stage_volatility,
+    write_artifact,
+    write_rows,
+)
 from .synth import SynthSpec, generate_minute_csv
+
+_SERIES = (stage_ingest, stage_volatility)
+_INTERVALS = (*_SERIES, stage_intervals)
 
 
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
-def _series_config(args) -> RunConfig:
-    raw = {"input": args.input}
-    if getattr(args, "calendar", None):
-        raw["calendar"] = args.calendar
-    if getattr(args, "keep_overnight", False):
-        raw["drop_overnight"] = False
-    if getattr(args, "same_day_only", False):
-        raw["cross_day"] = False
-    for attr, key in (
-        ("thresholds", "thresholds"),
-        ("bins_per_decade", "bins_per_decade"),
-        ("n_boot", "n_boot"),
-        ("seed", "seed"),
-        ("mode", "fit_mode"),
-        ("q_min", "q_min"),
-        ("q_max", "q_max"),
-        ("q_step", "q_step"),
-        ("orders", "moment_orders"),
-        ("region", "region"),
-        ("jobs", "jobs"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            raw[key] = value
-    if getattr(args, "refit", False):
-        raw["refit"] = True
-    if getattr(args, "whole_sample_cv", False):
-        raw["overlap_counts"] = False
-    if getattr(args, "no_lattice", False):
-        raw["lattice"] = False
+def _config(args, raw: dict | None = None) -> RunConfig:
+    """Validate ``raw`` with every given flag overriding it.
+
+    Flags store under their config key (``dest``), and an absent flag is
+    None, so only the flags given on the command line take part.
+    """
+    raw = dict(raw or {})
+    keys = {f.name for f in fields(RunConfig)}
+    raw.update((k, v) for k, v in vars(args).items() if k in keys and v is not None)
     return validate_config(raw)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
+def _run_series(args, stages) -> dict:
+    """Run ``stages`` and write the last one's artifacts to ``--out-dir``."""
+    cfg = _config(args)
+    summary, artifacts = run_stages(cfg, stages)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for name, artifact in artifacts.items():
+        write_artifact(out / name, artifact)
+    return summary
 
 
 def cmd_synth(args) -> int:
@@ -83,117 +79,41 @@ def cmd_synth(args) -> int:
 
 
 def cmd_volatility(args) -> int:
-    cfg = _series_config(args)
-    v, pattern, sd, ms, meta = load_normalized(cfg)
-    out = _out_dir(args)
-    _write_csv(
-        out / "volatility.csv",
-        ["day", "slot", "v"],
-        (
-            (ms.days[d].isoformat(), int(s), float(x))
-            for d, s, x in zip(v.day, v.slot, v.values)
-        ),
+    summary = _run_series(args, _SERIES)
+    vol = summary["volatility"]
+    print(
+        f"{vol['n_points']} volatility points over {summary['ingest']['n_days']} days; "
+        f"deseasonalized sd {vol['sd_deseasonalized']:.6g}"
     )
-    _write_csv(
-        out / "pattern.csv",
-        ["slot", "value", "count"],
-        zip(pattern.slots.tolist(), pattern.values.tolist(), pattern.counts.tolist()),
-    )
-    print(f"{len(v)} volatility points over {meta['n_days']} days; deseasonalized sd {sd:.6g}")
     return 0
 
 
-def _load_samples(args, cfg: RunConfig):
-    v, *_ = load_normalized(cfg)
-    return v, [extract_intervals(v, q, cross_day=cfg.cross_day) for q in cfg.thresholds]
-
-
 def cmd_intervals(args) -> int:
-    cfg = _series_config(args)
-    _, samples = _load_samples(args, cfg)
-    out = _out_dir(args)
-    _write_csv(out / "intervals.csv", ["q", "tau"], ((s.q, int(t)) for s in samples for t in s.tau))
-    rows = []
-    for s in samples:
-        table = scaled_pdf(s, cfg.bins_per_decade)
-        rows.extend((s.q, float(x), float(d), int(c)) for x, d, c in zip(table.center, table.density, table.count))
-    _write_csv(out / "pdf.csv", ["q", "x", "density", "count"], rows)
-    cdf_rows = []
-    for s in samples:
-        table = empirical_cdf(s)
-        cdf_rows.extend((s.q, float(x), float(f)) for x, f in zip(table.x, table.F))
-    _write_csv(out / "cdf.csv", ["q", "x", "F"], cdf_rows)
-    for s in samples:
-        print(f"q={s.q:g}: {len(s)} intervals, mean {s.mean_interval:.3f}")
+    for t in _run_series(args, _INTERVALS)["thresholds"]:
+        print(f"q={t['q']:g}: {t['n_intervals']} intervals, mean {t['mean_interval']:.3f}")
     return 0
 
 
 def cmd_ks_matrix(args) -> int:
-    cfg = _series_config(args)
-    _, samples = _load_samples(args, cfg)
-    matrix = ks_matrix(samples, overlap_counts=cfg.overlap_counts, lattice=cfg.lattice)
-    header = ["q_i", "q_j", "ks", "cv", "m", "n", "decision"]
-    rows = [
-        (r["q_i"], r["q_j"], r["ks"], r["cv"], r["m"], r["n"], r["decision"])
-        for r in matrix.to_rows()
-    ]
+    summary, artifacts = run_stages(_config(args), (*_INTERVALS, stage_ks))
     if args.out:
-        _write_csv(Path(args.out), header, rows)
+        write_artifact(Path(args.out), artifacts["ks_matrix.csv"])
     else:
-        sys.stdout.write(",".join(header) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(str(x) if not isinstance(x, float) else repr(x) for x in row) + "\n")
-    print(f"verdict: {matrix.verdict}", file=sys.stderr if not args.out else sys.stdout)
+        write_rows(sys.stdout, *artifacts["ks_matrix.csv"])
+    print(f"verdict: {summary['ks']['verdict']}", file=sys.stderr if not args.out else sys.stdout)
     return 0
 
 
 def cmd_fit(args) -> int:
-    cfg = _series_config(args)
-    _, samples = _load_samples(args, cfg)
-    reports = [fit_threshold(cfg, s) for s in samples]
-    out = _out_dir(args)
-    _write_csv(
-        out / "fits.csv",
-        ["q", "mode", "c", "a", "gamma", "n", "ks", "p", "n_boot", "seed"],
-        (
-            (r.q, r.mode, r.model.c, r.model.a, r.model.gamma, r.n, r.ks, r.p, r.n_boot, r.seed)
-            for r in reports
-        ),
-    )
-    (out / "fits.json").write_text(
-        json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
-    )
-    for r in reports:
-        print(
-            f"q={r.q:g}: c={r.model.c:.3f} a={r.model.a:.3f} gamma={r.model.gamma:.3f} p={r.p:.3f}"
-        )
+    for f in _run_series(args, (*_INTERVALS, stage_fit))["fits"]:
+        print(f"q={f['q']:g}: c={f['c']:.3f} a={f['a']:.3f} gamma={f['gamma']:.3f} p={f['p']:.3f}")
     return 0
 
 
 def cmd_moments(args) -> int:
-    cfg = _series_config(args)
-    v, *_ = load_normalized(cfg)
-    out = _out_dir(args)
-    grid = cfg.q_grid
-    rows, alpha_rows, ess_rows = [], [], []
-    for m in cfg.moment_orders:
-        curve = moment_curve(v, m, grid, cross_day=cfg.cross_day)
-        alpha = fit_alpha(curve, region=cfg.region)
-        ess = ess_xi(v, m, 1.0, grid, region=cfg.region, cross_day=cfg.cross_day)
-        rows.extend(
-            (m, float(q), float(mt), float(mu), int(k))
-            for q, mt, mu, k in zip(curve.q, curve.mean_tau, curve.mu, curve.n_intervals)
-        )
-        alpha_rows.append((m, alpha.alpha, alpha.stderr, alpha.n_points))
-        ess_rows.append((ess.m, ess.n, ess.xi, ess.stderr, ess.alpha, ess.identity_gap, ess.n_points))
-        print(f"m={m:g}: alpha={alpha.alpha:+.4f} (se {alpha.stderr:.4f}), xi(m,1)={ess.xi:.4f}")
-    _write_csv(out / "moments.csv", ["m", "q", "mean_tau", "mu", "n_intervals"], rows)
-    _write_csv(out / "alpha.csv", ["m", "alpha", "stderr", "n_points"], alpha_rows)
-    _write_csv(
-        out / "ess.csv",
-        ["m", "n", "xi", "stderr", "alpha", "identity_gap", "n_points"],
-        ess_rows,
-    )
+    summary = _run_series(args, (*_SERIES, stage_moments))
+    for a, e in zip(summary["alpha"], summary["ess"]):
+        print(f"m={a['m']:g}: alpha={a['alpha']:+.4f} (se {a['stderr']:.4f}), xi(m,1)={e['xi']:.4f}")
     return 0
 
 
@@ -208,13 +128,7 @@ def cmd_analyze(args) -> int:
             raise ConfigError(f"config file is not valid JSON: {e}") from e
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
-    for key in ("input", "out_dir", "seed", "jobs"):
-        value = getattr(args, key, None)
-        if value is not None:
-            raw[key] = value
-    if args.no_lattice:
-        raw["lattice"] = False
-    cfg = validate_config(raw)
+    cfg = _config(args, raw)
     summary = run_analyze(cfg)
     print(f"verdict: {summary['ks']['verdict']}; artifacts in {cfg.out_dir}")
     return 0
@@ -223,17 +137,20 @@ def cmd_analyze(args) -> int:
 def _add_series_args(p: argparse.ArgumentParser, thresholds: bool = True) -> None:
     p.add_argument("--input", required=True, help="tick or minute CSV (timestamp,price)")
     p.add_argument("--calendar", help="calendar JSON (defaults to two standard sessions)")
-    p.add_argument("--keep-overnight", action="store_true", help="keep returns spanning session breaks")
-    p.add_argument("--same-day-only", action="store_true", help="discard intervals crossing days")
+    _switch(p, "--keep-overnight", "drop_overnight", "keep returns spanning session breaks")
+    _switch(p, "--same-day-only", "cross_day", "discard intervals crossing days")
     if thresholds:
         p.add_argument("--thresholds", type=_floats, help="comma-separated thresholds (default 2,3,4,5)")
 
 
+def _switch(p: argparse.ArgumentParser, flag: str, key: str, help: str) -> None:
+    """A flag that sets the boolean config ``key`` to the opposite of its default."""
+    p.add_argument(flag, action="store_const", const=not getattr(RunConfig, key), dest=key, help=help)
+
+
 def _add_lattice_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--no-lattice",
-        action="store_true",
-        help="treat intervals as continuous values (the paper's plain KS and MLE)",
+    _switch(
+        p, "--no-lattice", "lattice", "treat intervals as continuous values (the paper's plain KS and MLE)"
     )
 
 
@@ -265,17 +182,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ks-matrix", help="pairwise scaling tests across thresholds")
     _add_series_args(p)
-    p.add_argument("--whole-sample-cv", action="store_true", help="use whole-sample sizes in the critical value")
+    _switch(p, "--whole-sample-cv", "overlap_counts", "use whole-sample sizes in the critical value")
     _add_lattice_arg(p)
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(func=cmd_ks_matrix)
 
     p = sub.add_parser("fit", help="stretched-exponential fits with bootstrap p-values")
     _add_series_args(p)
-    p.add_argument("--mode", choices=("mle", "lsq"))
+    p.add_argument("--mode", choices=("mle", "lsq"), dest="fit_mode")
     p.add_argument("--n-boot", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--refit", action="store_true", help="refit each bootstrap replicate")
+    _switch(p, "--refit", "refit", "refit each bootstrap replicate")
     _add_lattice_arg(p)
     p.add_argument("--bins-per-decade", type=int)
     p.add_argument("--out-dir", "-o", default="out")
@@ -283,7 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="moment scaling diagnostics")
     _add_series_args(p, thresholds=False)
-    p.add_argument("--orders", type=_floats, help="comma-separated moment orders")
+    p.add_argument(
+        "--orders", type=_floats, dest="moment_orders", metavar="ORDERS", help="comma-separated moment orders"
+    )
     p.add_argument("--q-min", type=float)
     p.add_argument("--q-max", type=float)
     p.add_argument("--q-step", type=float)

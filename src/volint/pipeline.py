@@ -1,19 +1,29 @@
-"""End-to-end analysis pipeline.
+"""End-to-end analysis pipeline as one table of stage functions.
 
-Stages: ingest -> volatility -> intervals -> ks -> fit -> moments. Each
-stage writes its artifacts under the output directory as it completes; a
-stage failure writes a summary naming the failed stage (partial artifacts
-stay on disk, flagged) and re-raises. Reports contain no timestamps, so a
-rerun with the same config and seed is byte-identical.
+``STAGES`` lists the stages in run order: ingest -> volatility ->
+intervals -> ks -> fit -> moments (moment curves, then order curves). A
+stage reads what earlier stages left in a shared context dict, adds its
+own results and its ``summary.json`` section, and returns its artifacts,
+unwritten, as ``{file name: (header, rows)}`` or, for files that are not a
+plain table, ``{file name: writer(path)}``.
+
+``run_analyze`` runs every stage and writes every artifact; a stage
+failure writes a summary naming the failed stage (partial artifacts stay
+on disk, flagged) and re-raises. The CLI subcommands run the stages they
+need with ``run_stages`` and write the last stage's artifacts, so each
+artifact is produced by one piece of code. Reports contain no timestamps,
+so a rerun with the same config and seed is byte-identical.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import insort
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -28,7 +38,7 @@ from .ingest import (
     write_minute_csv,
 )
 from .intervals import IntervalSample, empirical_cdf, extract_intervals, scaled_pdf
-from .kstest import KsMatrix, bootstrap_pvalue, ks_matrix
+from .kstest import bootstrap_pvalue, ks_matrix
 from .moments import ess_xi, fit_alpha, moment_curve, moment_vs_order
 from .semodel import FitReport, fit_lsq, fit_mle
 from .volatility import (
@@ -40,6 +50,10 @@ from .volatility import (
     normalize,
 )
 
+# a CSV table (header, rows) or a writer taking the file path
+Artifact = Union[tuple[Sequence[str], Iterable], Callable[[Path], None]]
+Stage = Callable[[RunConfig, dict], dict[str, Artifact]]
+
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -47,11 +61,33 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def write_rows(fh: TextIO, header: Sequence[str], rows) -> None:
+    """Write a CSV table: floats as ``repr``, everything else as ``str``."""
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        fh.write(",".join(_fmt(x) for x in row) + "\n")
+
+
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        write_rows(fh, header, rows)
+
+
+def _write_json(obj, path: Path) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def write_artifact(path: Path, artifact: Artifact) -> None:
+    """Write one stage artifact to ``path``."""
+    if callable(artifact):
+        artifact(path)
+    else:
+        _write_csv(path, *artifact)
+
+
+def _table(header: Sequence[str], records: list[dict]) -> tuple[Sequence[str], Iterable]:
+    """A table whose columns are the ``header`` keys of summary records."""
+    return header, ([r[k] for k in header] for r in records)
 
 
 def load_minutes(cfg: RunConfig) -> tuple[MinuteSeries, dict]:
@@ -106,8 +142,162 @@ def fit_threshold(cfg: RunConfig, sample: IntervalSample) -> FitReport:
     )
 
 
-def _write_summary(out: Path, summary: dict) -> None:
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+
+
+def stage_ingest(cfg: RunConfig, ctx: dict) -> dict[str, Artifact]:
+    ms, meta = load_minutes(cfg)
+    ctx["minutes"] = ms
+    ctx["summary"]["ingest"] = meta
+    return {"minutes.csv": partial(write_minute_csv, ms)}
+
+
+def stage_volatility(cfg: RunConfig, ctx: dict) -> dict[str, Artifact]:
+    ms = ctx["minutes"]
+    v, pattern, sd = build_volatility(ms, cfg)
+    ctx["series"] = v
+    ctx["summary"]["volatility"] = {"n_points": len(v), "sd_deseasonalized": sd}
+    return {
+        "volatility.csv": (
+            ["day", "slot", "v"],
+            (
+                (ms.days[d].isoformat(), int(s), float(x))
+                for d, s, x in zip(v.day, v.slot, v.values)
+            ),
+        ),
+        "pattern.csv": (
+            ["slot", "value", "count"],
+            zip(pattern.slots.tolist(), pattern.values.tolist(), pattern.counts.tolist()),
+        ),
+    }
+
+
+def stage_intervals(cfg: RunConfig, ctx: dict) -> dict[str, Artifact]:
+    samples = [extract_intervals(ctx["series"], q, cross_day=cfg.cross_day) for q in cfg.thresholds]
+    ctx["samples"] = samples
+    ctx["summary"]["thresholds"] = [
+        {"q": s.q, "n_intervals": len(s), "mean_interval": s.mean_interval} for s in samples
+    ]
+    return {
+        "intervals.csv": (["q", "tau"], ((s.q, int(t)) for s in samples for t in s.tau)),
+        "pdf.csv": (
+            ["q", "x", "density", "count"],
+            (
+                (s.q, float(x), float(d), int(c))
+                for s in samples
+                for x, d, c in zip(*_pdf_cols(s, cfg.bins_per_decade))
+            ),
+        ),
+        "cdf.csv": (
+            ["q", "x", "F"],
+            ((s.q, float(x), float(f)) for s in samples for x, f in zip(*_cdf_cols(s))),
+        ),
+    }
+
+
+def stage_ks(cfg: RunConfig, ctx: dict) -> dict[str, Artifact]:
+    matrix = ks_matrix(ctx["samples"], overlap_counts=cfg.overlap_counts, lattice=cfg.lattice)
+    pairs = matrix.to_rows()
+    ctx["summary"]["ks"] = {"verdict": matrix.verdict, "pairs": pairs}
+    return {"ks_matrix.csv": _table(["q_i", "q_j", "ks", "cv", "m", "n", "decision"], pairs)}
+
+
+def stage_fit(cfg: RunConfig, ctx: dict) -> dict[str, Artifact]:
+    samples = ctx["samples"]
+    if cfg.jobs > 1:
+        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+            reports = list(pool.map(lambda s: fit_threshold(cfg, s), samples))
+    else:
+        reports = [fit_threshold(cfg, s) for s in samples]
+    fits = ctx["summary"]["fits"] = [r.to_dict() for r in reports]
+    return {
+        "fits.csv": _table(["q", "mode", "c", "a", "gamma", "n", "ks", "p", "n_boot", "seed"], fits),
+        "fits.json": partial(_write_json, fits),
+    }
+
+
+def stage_moments(cfg: RunConfig, ctx: dict) -> dict[str, Artifact]:
+    v, grid = ctx["series"], cfg.q_grid
+    curves = [moment_curve(v, m, grid, cross_day=cfg.cross_day) for m in cfg.moment_orders]
+    alphas = [fit_alpha(c, region=cfg.region) for c in curves]
+    esses = [
+        ess_xi(v, m, 1.0, grid, region=cfg.region, cross_day=cfg.cross_day)
+        for m in cfg.moment_orders
+    ]
+    summary = ctx["summary"]
+    summary["alpha"] = [
+        {"m": c.m, "alpha": a.alpha, "stderr": a.stderr, "n_points": a.n_points}
+        for c, a in zip(curves, alphas)
+    ]
+    ess_columns = ["m", "n", "xi", "stderr", "alpha", "identity_gap", "n_points"]
+    summary["ess"] = [{k: getattr(e, k) for k in ess_columns} for e in esses]
+    return {
+        "moments.csv": (
+            ["m", "q", "mean_tau", "mu", "n_intervals"],
+            (
+                (c.m, float(q), float(mt), float(mu), int(k))
+                for c in curves
+                for q, mt, mu, k in zip(c.q, c.mean_tau, c.mu, c.n_intervals)
+            ),
+        ),
+        "alpha.csv": _table(["m", "alpha", "stderr", "n_points"], summary["alpha"]),
+        "ess.csv": _table(ess_columns, summary["ess"]),
+    }
+
+
+def stage_order_curves(cfg: RunConfig, ctx: dict) -> dict[str, Artifact]:
+    order_curves = moment_vs_order(
+        ctx["series"],
+        cfg.mean_targets,
+        cfg.order_grid,
+        tol=cfg.tol_mean,
+        cross_day=cfg.cross_day,
+        lattice=cfg.lattice,
+    )
+    ctx["summary"]["order_curves"] = [
+        {"target_mean": oc.target_mean, "q": oc.q, "achieved_mean": oc.achieved_mean}
+        for oc in order_curves
+    ]
+    return {
+        "order_curves.csv": (
+            ["target_mean", "q", "achieved_mean", "m", "mu", "mu_model"],
+            (
+                (oc.target_mean, oc.q, oc.achieved_mean, float(m), float(mu), float(mm))
+                for oc in order_curves
+                for m, mu, mm in zip(oc.m, oc.mu, oc.mu_model)
+            ),
+        ),
+    }
+
+
+# (label recorded as ``failed_stage``, stage function), in run order
+STAGES: tuple[tuple[str, Stage], ...] = (
+    ("ingest", stage_ingest),
+    ("volatility", stage_volatility),
+    ("intervals", stage_intervals),
+    ("ks", stage_ks),
+    ("fit", stage_fit),
+    ("moments", stage_moments),
+    ("moments", stage_order_curves),
+)
+
+
+def _check_config(cfg: RunConfig, stages: Sequence[Stage]) -> None:
+    """Reject, before any input is read, a config the stages cannot run on."""
+    if stage_ks in stages and len(cfg.thresholds) < 2:
+        raise ConfigError("thresholds must hold at least two values for the KS matrix")
+
+
+def run_stages(cfg: RunConfig, stages: Sequence[Stage]) -> tuple[dict, dict[str, Artifact]]:
+    """Run ``stages`` in order on one context; errors propagate unwrapped.
+
+    Returns the summary sections the stages built and the last stage's
+    artifacts, unwritten.
+    """
+    _check_config(cfg, stages)
+    ctx: dict = {"summary": {}}
+    for stage in stages:
+        artifacts = stage(cfg, ctx)
+    return ctx["summary"], artifacts
 
 
 def run_analyze(cfg: RunConfig) -> dict:
@@ -117,6 +307,7 @@ def run_analyze(cfg: RunConfig) -> dict:
     failed stage and the partial artifact list before the error propagates
     as ``StageError``.
     """
+    _check_config(cfg, [stage for _, stage in STAGES])
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary: dict = {
@@ -125,172 +316,20 @@ def run_analyze(cfg: RunConfig) -> dict:
         "failed_stage": None,
         "artifacts": [],
     }
-
-    def emit(name: str) -> Path:
-        summary["artifacts"].append(name)
-        summary["artifacts"].sort()
-        return out / name
-
-    try:
-        stage = "ingest"
-        ms, meta = load_minutes(cfg)
-        summary["ingest"] = meta
-        write_minute_csv(ms, emit("minutes.csv"))
-
-        stage = "volatility"
-        v, pattern, sd = build_volatility(ms, cfg)
-        summary["volatility"] = {"n_points": len(v), "sd_deseasonalized": sd}
-        _write_csv(
-            emit("volatility.csv"),
-            ["day", "slot", "v"],
-            (
-                (ms.days[d].isoformat(), int(s), float(x))
-                for d, s, x in zip(v.day, v.slot, v.values)
-            ),
-        )
-        _write_csv(
-            emit("pattern.csv"),
-            ["slot", "value", "count"],
-            zip(pattern.slots.tolist(), pattern.values.tolist(), pattern.counts.tolist()),
-        )
-
-        stage = "intervals"
-        samples = [extract_intervals(v, q, cross_day=cfg.cross_day) for q in cfg.thresholds]
-        summary["thresholds"] = [
-            {"q": s.q, "n_intervals": len(s), "mean_interval": s.mean_interval}
-            for s in samples
-        ]
-        _write_csv(
-            emit("intervals.csv"),
-            ["q", "tau"],
-            ((s.q, int(t)) for s in samples for t in s.tau),
-        )
-        _write_csv(
-            emit("pdf.csv"),
-            ["q", "x", "density", "count"],
-            (
-                (s.q, float(x), float(d), int(c))
-                for s in samples
-                for x, d, c in zip(*_pdf_cols(s, cfg.bins_per_decade))
-            ),
-        )
-        _write_csv(
-            emit("cdf.csv"),
-            ["q", "x", "F"],
-            (
-                (s.q, float(x), float(f))
-                for s in samples
-                for x, f in zip(*_cdf_cols(s))
-            ),
-        )
-
-        stage = "ks"
-        matrix = ks_matrix(samples, overlap_counts=cfg.overlap_counts, lattice=cfg.lattice)
-        summary["ks"] = {"verdict": matrix.verdict, "pairs": matrix.to_rows()}
-        _write_csv(
-            emit("ks_matrix.csv"),
-            ["q_i", "q_j", "ks", "cv", "m", "n", "decision"],
-            (
-                (r["q_i"], r["q_j"], r["ks"], r["cv"], r["m"], r["n"], r["decision"])
-                for r in matrix.to_rows()
-            ),
-        )
-
-        stage = "fit"
-        if cfg.jobs > 1:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                reports = list(pool.map(lambda s: fit_threshold(cfg, s), samples))
-        else:
-            reports = [fit_threshold(cfg, s) for s in samples]
-        summary["fits"] = [r.to_dict() for r in reports]
-        _write_csv(
-            emit("fits.csv"),
-            ["q", "mode", "c", "a", "gamma", "n", "ks", "p", "n_boot", "seed"],
-            (
-                (r.q, r.mode, r.model.c, r.model.a, r.model.gamma, r.n, r.ks, r.p, r.n_boot, r.seed)
-                for r in reports
-            ),
-        )
-        (emit("fits.json")).write_text(
-            json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
-        )
-
-        stage = "moments"
-        grid = cfg.q_grid
-        curves = [moment_curve(v, m, grid, cross_day=cfg.cross_day) for m in cfg.moment_orders]
-        alphas = [fit_alpha(c, region=cfg.region) for c in curves]
-        esses = [
-            ess_xi(v, m, 1.0, grid, region=cfg.region, cross_day=cfg.cross_day)
-            for m in cfg.moment_orders
-        ]
-        order_curves = moment_vs_order(
-            v,
-            cfg.mean_targets,
-            cfg.order_grid,
-            tol=cfg.tol_mean,
-            cross_day=cfg.cross_day,
-            lattice=cfg.lattice,
-        )
-        summary["alpha"] = [
-            {"m": c.m, "alpha": a.alpha, "stderr": a.stderr, "n_points": a.n_points}
-            for c, a in zip(curves, alphas)
-        ]
-        summary["ess"] = [
-            {
-                "m": e.m,
-                "n": e.n,
-                "xi": e.xi,
-                "stderr": e.stderr,
-                "alpha": e.alpha,
-                "identity_gap": e.identity_gap,
-                "n_points": e.n_points,
-            }
-            for e in esses
-        ]
-        summary["order_curves"] = [
-            {"target_mean": oc.target_mean, "q": oc.q, "achieved_mean": oc.achieved_mean}
-            for oc in order_curves
-        ]
-        _write_csv(
-            emit("moments.csv"),
-            ["m", "q", "mean_tau", "mu", "n_intervals"],
-            (
-                (c.m, float(q), float(mt), float(mu), int(k))
-                for c in curves
-                for q, mt, mu, k in zip(c.q, c.mean_tau, c.mu, c.n_intervals)
-            ),
-        )
-        _write_csv(
-            emit("alpha.csv"),
-            ["m", "alpha", "stderr", "n_points"],
-            ((c.m, a.alpha, a.stderr, a.n_points) for c, a in zip(curves, alphas)),
-        )
-        _write_csv(
-            emit("ess.csv"),
-            ["m", "n", "xi", "stderr", "alpha", "identity_gap", "n_points"],
-            (
-                (e.m, e.n, e.xi, e.stderr, e.alpha, e.identity_gap, e.n_points)
-                for e in esses
-            ),
-        )
-        _write_csv(
-            emit("order_curves.csv"),
-            ["target_mean", "q", "achieved_mean", "m", "mu", "mu_model"],
-            (
-                (oc.target_mean, oc.q, oc.achieved_mean, float(m), float(mu), float(mm))
-                for oc in order_curves
-                for m, mu, mm in zip(oc.m, oc.mu, oc.mu_model)
-            ),
-        )
-    except ConfigError:
-        raise
-    except (VolintError, ValueError, OSError) as e:
-        summary["failed_stage"] = stage
-        summary["error"] = str(e)
-        _write_summary(out, summary)
-        raise StageError(stage, e) from e
-
-    _write_summary(out, summary)
+    ctx = {"summary": summary}
+    for label, stage in STAGES:
+        try:
+            for name, artifact in stage(cfg, ctx).items():
+                insort(summary["artifacts"], name)
+                write_artifact(out / name, artifact)
+        except ConfigError:
+            raise
+        except (VolintError, ValueError, OSError) as e:
+            summary["failed_stage"] = label
+            summary["error"] = str(e)
+            _write_json(summary, out / "summary.json")
+            raise StageError(label, e) from e
+    _write_json(summary, out / "summary.json")
     return summary
 
 

@@ -222,6 +222,89 @@ def test_analyze_impossible_threshold_exits_4(tmp_path, corpus_cfg, capsys):
     assert main(["analyze", "--config", str(cfg_path)]) == 4
 
 
+def test_analyze_moments_failure_exits_4(tmp_path, corpus_cfg, capsys):
+    out = tmp_path / "o"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(corpus_cfg(out, mean_targets=[1e9])))
+    assert main(["analyze", "--config", str(cfg_path)]) == 4
+    assert "stage 'moments' failed" in capsys.readouterr().err
+    assert json.loads((out / "summary.json").read_text())["failed_stage"] == "moments"
+    assert (out / "fits.csv").is_file()
+
+
+def test_analyze_single_threshold_is_config_error(tmp_path, corpus_cfg, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(corpus_cfg(tmp_path / "o", thresholds=[3.0])))
+    assert main(["analyze", "--config", str(cfg_path)]) == 2
+    assert "thresholds" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # rejected before the input is read
+
+
+def test_ks_matrix_single_threshold_is_config_error(synth_csv, capsys):
+    assert main(["ks-matrix", "--input", str(synth_csv), "--thresholds", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "thresholds" in captured.err
+    assert captured.out == ""
+
+
+@pytest.fixture(scope="module")
+def analyzed(tmp_path_factory, corpus_cfg):
+    """Artifacts of ``analyze`` on the shared corpus, for the subcommands to match."""
+    root = tmp_path_factory.mktemp("parity")
+    cfg_path = root / "cfg.json"
+    cfg_path.write_text(json.dumps(corpus_cfg(root / "run")))
+    assert main(["analyze", "--config", str(cfg_path)]) == 0
+    return root / "run"
+
+
+def _parity_flags(command, cfg):
+    """Subcommand flags giving the same input and settings as ``cfg``."""
+
+    def joined(values):
+        return ",".join(str(v) for v in values)
+
+    flags = ["--input", cfg["input"]]
+    if command in ("intervals", "ks-matrix", "fit"):
+        flags += ["--thresholds", joined(cfg["thresholds"])]
+    if command == "fit":
+        flags += ["--n-boot", str(cfg["n_boot"]), "--seed", str(cfg["seed"])]
+    if command == "moments":
+        flags += ["--orders", joined(cfg["moment_orders"]), "--region", joined(cfg["region"])]
+        flags += ["--q-min", str(cfg["q_min"]), "--q-max", str(cfg["q_max"]), "--q-step", str(cfg["q_step"])]
+    return flags
+
+
+@pytest.mark.parametrize(
+    "command, files",
+    [
+        ("volatility", ["pattern.csv", "volatility.csv"]),
+        ("intervals", ["cdf.csv", "intervals.csv", "pdf.csv"]),
+        ("fit", ["fits.csv", "fits.json"]),
+        ("moments", ["alpha.csv", "ess.csv", "moments.csv"]),
+    ],
+)
+def test_subcommand_files_match_analyze(command, files, analyzed, corpus_cfg, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main([command, *_parity_flags(command, corpus_cfg(out)), "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == files
+    for name in files:
+        assert (out / name).read_bytes() == (analyzed / name).read_bytes(), name
+
+
+def test_ks_matrix_output_matches_analyze(analyzed, corpus_cfg, tmp_path, capsys):
+    expected = (analyzed / "ks_matrix.csv").read_bytes()
+    flags = _parity_flags("ks-matrix", corpus_cfg(tmp_path))
+    assert main(["ks-matrix", *flags]) == 0
+    assert capsys.readouterr().out.encode() == expected
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(["ks-matrix", *flags, "--out", str(out / "ks_matrix.csv")]) == 0
+    capsys.readouterr()
+    assert [p.name for p in out.iterdir()] == ["ks_matrix.csv"]
+    assert (out / "ks_matrix.csv").read_bytes() == expected
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["not-a-command"])

@@ -135,6 +135,19 @@ def test_failed_stage_is_recorded(tmp_path, corpus_cfg):
     assert not (out / "fits.csv").exists()
 
 
+def test_failed_moments_stage_is_recorded(tmp_path, corpus_cfg):
+    out = tmp_path / "broken"
+    cfg = validate_config(corpus_cfg(out, mean_targets=[1e9]))
+    with pytest.raises(StageError) as err:
+        run_analyze(cfg)
+    assert err.value.stage == "moments"
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failed_stage"] == "moments"
+    assert (out / "fits.csv").is_file()
+    assert "order_curves.csv" not in summary["artifacts"]
+    assert not (out / "order_curves.csv").exists()
+
+
 def test_missing_input_is_config_error():
     with pytest.raises(ConfigError):
         run_analyze(validate_config({}))
