@@ -29,9 +29,6 @@ from .errors import FitFailureError, NoOverlapError
 from .intervals import CdfTable, DequantizedCdf, IntervalSample, empirical_cdf
 from .semodel import FitReport, SEModel, fit_mle, se_cdf, se_sample
 
-_BATCH_CELLS = 8_000_000
-
-
 def critical_value(m: int, n: int) -> float:
     """95% two-sample KS critical value, 1.36 / sqrt(m * n / (m + n))."""
     if m < 1 or n < 1:
@@ -175,17 +172,6 @@ def one_sample_ks(sample, model: SEModel) -> float:
     return float(np.max(np.maximum(np.abs(i / n - f), np.abs((i - 1) / n - f))))
 
 
-def _batch_ks(draws: np.ndarray, model: SEModel) -> np.ndarray:
-    """Row-wise one-sample KS of many same-size samples against one model."""
-    draws = np.sort(draws, axis=1)
-    f = se_cdf(model, draws)
-    n = draws.shape[1]
-    i = np.arange(1, n + 1)
-    hi = np.max(np.abs(i / n - f), axis=1)
-    lo = np.max(np.abs((i - 1) / n - f), axis=1)
-    return np.maximum(hi, lo)
-
-
 def bootstrap_pvalue(
     sample,
     model: SEModel,
@@ -205,50 +191,36 @@ def bootstrap_pvalue(
 
     Replicate RNGs are spawned from ``numpy.random.SeedSequence(seed)``, so
     a fixed seed reproduces the p-value and replicates are independent of
-    evaluation order.
+    evaluation order. Replicates are drawn, fitted and scored one at a time,
+    so only one replicate is held in memory at once.
     """
     if n_boot < 1:
         raise ValueError("n_boot must be >= 1")
     x = _scaled(sample)
     n = len(x)
     ks_obs = one_sample_ks(x, model)
-    children = np.random.SeedSequence(seed).spawn(n_boot)
 
-    n_failed = 0
-    if refit:
-        sims = np.empty(n_boot)
-        ok = np.zeros(n_boot, dtype=bool)
-        for k, child in enumerate(children):
-            draw = se_sample(model, n, np.random.default_rng(child))
+    n_failed = n_exceed = 0
+    for child in np.random.SeedSequence(seed).spawn(n_boot):
+        draw = se_sample(model, n, np.random.default_rng(child))
+        fitted = model
+        if refit:
             try:
-                refitted = fit_mle(draw)
+                fitted = fit_mle(draw)
             except (FitFailureError, ValueError):
                 n_failed += 1
                 continue
-            sims[k] = one_sample_ks(draw, refitted)
-            ok[k] = True
-        ks_sim = sims[ok]
-    else:
-        rows_per_batch = max(1, _BATCH_CELLS // max(n, 1))
-        parts = []
-        for start in range(0, n_boot, rows_per_batch):
-            stop = min(start + rows_per_batch, n_boot)
-            block = np.empty((stop - start, n))
-            for k in range(start, stop):
-                block[k - start] = se_sample(model, n, np.random.default_rng(children[k]))
-            parts.append(_batch_ks(block, model))
-        ks_sim = np.concatenate(parts)
+        n_exceed += one_sample_ks(draw, fitted) > ks_obs
 
     completed = n_boot - n_failed
     if completed == 0:
         raise FitFailureError("every bootstrap replicate failed to refit")
-    p = float(np.count_nonzero(ks_sim > ks_obs) / completed)
     return FitReport(
         model=model,
         mode=mode,
         n=n,
         ks=ks_obs,
-        p=p,
+        p=n_exceed / completed,
         n_boot=n_boot,
         seed=seed if isinstance(seed, int) else None,
         q=sample.q if isinstance(sample, IntervalSample) else None,

@@ -282,7 +282,9 @@ STAGES: tuple[tuple[str, Stage], ...] = (
 
 
 def _check_config(cfg: RunConfig, stages: Sequence[Stage]) -> None:
-    """Reject, before any input is read, a config the stages cannot run on."""
+    """Reject a config the stages cannot run on, before any input is read or output made."""
+    if stage_ingest in stages and not cfg.input:
+        raise ConfigError("input is required for analysis")
     if stage_ks in stages and len(cfg.thresholds) < 2:
         raise ConfigError("thresholds must hold at least two values for the KS matrix")
 

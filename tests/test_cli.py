@@ -198,6 +198,13 @@ def test_analyze_unparseable_config_exits_2(tmp_path, capsys):
     assert main(["analyze", "--config", str(cfg_path)]) == 2
 
 
+def test_analyze_without_input_exits_2_and_makes_no_out_dir(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(["analyze", "--out-dir", str(out)]) == 2
+    assert "input" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_missing_input_exits_3(tmp_path, corpus_cfg, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg = corpus_cfg(tmp_path / "o")

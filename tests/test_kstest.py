@@ -1,12 +1,16 @@
 """Two-sample and one-sample KS tests, critical values, bootstrap p-values."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import volint.kstest
 from volint import (
     DequantizedCdf,
+    FitFailureError,
     FitReport,
     IntervalSample,
     KsResult,
@@ -16,6 +20,7 @@ from volint import (
     critical_value,
     empirical_cdf,
     extract_intervals,
+    fit_mle,
     ks_matrix,
     one_sample_ks,
     two_sample_ks,
@@ -286,3 +291,71 @@ def test_bootstrap_null_calibration_smoke():
         x = model.sample(400, seed=100 + k)
         ps.append(bootstrap_pvalue(x, model, n_boot=99, seed=k).p)
     assert np.mean(np.array(ps) < 0.05) <= 0.2
+
+
+# p and ks pinned from an earlier, batched implementation: a replicate's
+# draws depend only on its own spawned seed, so both stay exact.
+@pytest.mark.parametrize("refit, p", [(False, 0.335), (True, 0.075)])
+def test_bootstrap_pinned_plain_array(refit, p):
+    model = SEModel.normalized(5.79, 0.43)
+    x = model.sample(2000, seed=12)
+    report = bootstrap_pvalue(x, model, n_boot=200, seed=12, refit=refit)
+    assert report.p == p
+    assert report.ks == 0.01998217359014476
+    assert report.n_failed_refits == 0
+
+
+def test_bootstrap_pinned_lattice_sample():
+    model = SEModel.normalized(1.0, 1.0)
+    tau = np.ceil(model.sample(2000, seed=10) * 1000).astype(np.int64)
+    sample = IntervalSample(q=3.0, tau=tau, source_length=int(tau.sum()))
+    report = bootstrap_pvalue(sample, model, n_boot=200, seed=10)
+    assert report.p == 0.63
+    assert report.ks == 0.016568816221495114
+
+
+def test_bootstrap_counts_failed_refits(monkeypatch):
+    x = SEModel.normalized(5.79, 0.43).sample(300, seed=6)
+    model = fit_mle(x)
+    n_boot = 40
+    calls = []
+
+    def every_other_fails(draw):
+        calls.append(draw)
+        if len(calls) % 2 == 0:
+            raise FitFailureError("planted failure")
+        return fit_mle(draw)
+
+    monkeypatch.setattr(volint.kstest, "fit_mle", every_other_fails)
+    report = bootstrap_pvalue(x, model, n_boot=n_boot, seed=9, refit=True)
+    assert len(calls) == n_boot
+    assert report.n_failed_refits == n_boot // 2
+    kept = calls[::2]
+    ks_obs = one_sample_ks(x, model)
+    exceed = sum(one_sample_ks(d, fit_mle(d)) > ks_obs for d in kept)
+    assert report.p == exceed / len(kept)
+    assert 0.0 < report.p < 1.0
+    assert report.ks == ks_obs
+
+
+def test_bootstrap_every_refit_failing_raises(monkeypatch):
+    def always_fails(draw):
+        raise FitFailureError("planted failure")
+
+    monkeypatch.setattr(volint.kstest, "fit_mle", always_fails)
+    x = SEModel.normalized(5.79, 0.43).sample(300, seed=4)
+    with pytest.raises(FitFailureError, match="every bootstrap replicate failed to refit"):
+        bootstrap_pvalue(x, SEModel.normalized(5.79, 0.43), n_boot=10, seed=9, refit=True)
+
+
+def test_bootstrap_holds_one_replicate_at_a_time():
+    # 400 replicates of 5,000 draws would take 15 MiB as one block
+    model = SEModel.normalized(5.79, 0.43)
+    x = model.sample(5000, seed=0)
+    tracemalloc.start()
+    try:
+        bootstrap_pvalue(x, model, n_boot=400, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
