@@ -161,15 +161,30 @@ def _scaled(sample) -> np.ndarray:
     return np.asarray(sample, dtype=np.float64)
 
 
-def one_sample_ks(sample, model: SEModel) -> float:
-    """sup_x |F_n(x) - F(x)| against the model CDF, checked at both step sides."""
-    x = np.sort(_scaled(sample))
-    n = len(x)
-    if n == 0:
-        raise ValueError("empty sample")
-    f = se_cdf(model, x)
+def _sorted_cdf_ks(f: np.ndarray) -> float:
+    """sup |F_n - F| from the model CDF values f at the sorted sample points.
+
+    Checked at both sides of each step of the empirical CDF, where the sup
+    of a continuous F against a step function is attained.
+    """
+    n = len(f)
     i = np.arange(1, n + 1)
     return float(np.max(np.maximum(np.abs(i / n - f), np.abs((i - 1) / n - f))))
+
+
+def one_sample_ks(sample, model: SEModel) -> float:
+    """sup_x |F_n(x) - F(x)| against the model CDF, checked at both step sides.
+
+    The statistic depends on the sample only through the sorted CDF values
+    F(x_(i)). For a sample drawn from the same continuous model these are
+    uniform order statistics (probability integral transform), so
+    ``bootstrap_pvalue`` scores its fixed-model replicates as sorted
+    uniforms through the same kernel, which is exact in law.
+    """
+    x = np.sort(_scaled(sample))
+    if len(x) == 0:
+        raise ValueError("empty sample")
+    return _sorted_cdf_ks(se_cdf(model, x))
 
 
 def bootstrap_pvalue(
@@ -182,11 +197,18 @@ def bootstrap_pvalue(
 ) -> FitReport:
     """Parametric-bootstrap goodness of fit.
 
-    Draws ``n_boot`` synthetic samples of the observed size from the model,
+    Simulates ``n_boot`` samples of the observed size from the model,
     computes each replicate's one-sample KS distance, and reports
-    p = #(KS_sim > KS_obs) / #completed. With ``refit=False`` (default) each
-    replicate is compared against the given model; with ``refit=True`` every
-    replicate is refitted first and compared against its own fit, and
+    p = #(KS_sim > KS_obs) / #completed.
+
+    With ``refit=False`` (default) each replicate is scored against the
+    model that drew it. The model is continuous, so by the probability
+    integral transform F(X) ~ Uniform(0, 1) and the sorted F(X_(i)) are
+    uniform order statistics, whatever (a, gamma) is. A replicate is
+    therefore n sorted uniforms fed straight to the KS kernel: its statistic
+    has exactly the law of a drawn-and-scored replicate, with no model
+    sample or CDF evaluated. With ``refit=True`` every replicate is drawn
+    from the model, refitted and compared against its own fit, and
     replicates whose refit fails are dropped and counted.
 
     Replicate RNGs are spawned from ``numpy.random.SeedSequence(seed)``, so
@@ -202,14 +224,16 @@ def bootstrap_pvalue(
 
     n_failed = n_exceed = 0
     for child in np.random.SeedSequence(seed).spawn(n_boot):
-        draw = se_sample(model, n, np.random.default_rng(child))
-        fitted = model
-        if refit:
-            try:
-                fitted = fit_mle(draw)
-            except (FitFailureError, ValueError):
-                n_failed += 1
-                continue
+        rng = np.random.default_rng(child)
+        if not refit:
+            n_exceed += _sorted_cdf_ks(np.sort(rng.random(n))) > ks_obs
+            continue
+        draw = se_sample(model, n, rng)
+        try:
+            fitted = fit_mle(draw)
+        except (FitFailureError, ValueError):
+            n_failed += 1
+            continue
         n_exceed += one_sample_ks(draw, fitted) > ks_obs
 
     completed = n_boot - n_failed

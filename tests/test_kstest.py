@@ -293,9 +293,10 @@ def test_bootstrap_null_calibration_smoke():
     assert np.mean(np.array(ps) < 0.05) <= 0.2
 
 
-# p and ks pinned from an earlier, batched implementation: a replicate's
-# draws depend only on its own spawned seed, so both stay exact.
-@pytest.mark.parametrize("refit, p", [(False, 0.335), (True, 0.075)])
+# A replicate's draws depend only on its own spawned seed, so p and ks stay
+# exact. The refit=False p was re-pinned when fixed-model replicates became
+# sorted uniforms (kstwo.sf gives 0.396 for this ks and n).
+@pytest.mark.parametrize("refit, p", [(False, 0.46), (True, 0.075)])
 def test_bootstrap_pinned_plain_array(refit, p):
     model = SEModel.normalized(5.79, 0.43)
     x = model.sample(2000, seed=12)
@@ -310,7 +311,7 @@ def test_bootstrap_pinned_lattice_sample():
     tau = np.ceil(model.sample(2000, seed=10) * 1000).astype(np.int64)
     sample = IntervalSample(q=3.0, tau=tau, source_length=int(tau.sum()))
     report = bootstrap_pvalue(sample, model, n_boot=200, seed=10)
-    assert report.p == 0.63
+    assert report.p == 0.635
     assert report.ks == 0.016568816221495114
 
 
@@ -355,6 +356,63 @@ def test_bootstrap_holds_one_replicate_at_a_time():
     tracemalloc.start()
     try:
         bootstrap_pvalue(x, model, n_boot=400, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize(
+    "truth, model, n, seed",
+    [
+        (SEModel.normalized(14.2, 0.38), SEModel.normalized(14.2, 0.38), 91, 1),
+        (SEModel.normalized(1.0, 1.0), SEModel.normalized(1.0, 1.0), 571, 2),
+        (SEModel.normalized(5.79, 0.43), SEModel.normalized(5.45, 0.43), 2000, 3),
+    ],
+)
+def test_fixed_model_p_follows_kolmogorov_law(truth, model, n, seed):
+    # scored against a fixed continuous model, D_n has the Kolmogorov law
+    from scipy.stats import kstwo
+
+    n_boot = 2000
+    x = truth.sample(n, seed=seed)
+    report = bootstrap_pvalue(x, model, n_boot=n_boot, seed=seed)
+    assert 0.0 < report.p < 1.0
+    tol = 4 * np.sqrt(report.p * (1 - report.p) / n_boot) + 1 / n_boot
+    assert abs(report.p - kstwo.sf(report.ks, n)) <= tol
+
+
+@pytest.mark.parametrize("refit", [False, True])
+def test_fixed_model_replicates_call_no_model(monkeypatch, refit):
+    calls = {"se_cdf": 0, "se_sample": 0}
+
+    def counting(name):
+        original = getattr(volint.kstest, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(volint.kstest, name, counting(name))
+    model = SEModel.normalized(5.79, 0.43)
+    x = model.sample(300, seed=5)
+    n_boot = 200
+    bootstrap_pvalue(x, model, n_boot=n_boot, seed=5, refit=refit)
+    if refit:
+        assert calls["se_sample"] == n_boot
+    else:
+        assert calls == {"se_cdf": 1, "se_sample": 0}
+
+
+def test_refit_bootstrap_holds_one_replicate_at_a_time():
+    model = SEModel.normalized(5.79, 0.43)
+    x = model.sample(5000, seed=0)
+    tracemalloc.start()
+    try:
+        bootstrap_pvalue(x, model, n_boot=40, seed=0, refit=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
