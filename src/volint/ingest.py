@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from calendar import timegm
+from array import array
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from functools import cached_property
@@ -29,6 +29,7 @@ from .errors import EmptySeriesError, FormatError
 
 DEFAULT_SESSIONS = (("09:30", "11:30"), ("13:00", "15:00"))
 ALIGN_WINDOW_SECONDS = 30.0
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,7 @@ class TradingCalendar:
 
     def day_epochs(self) -> np.ndarray:
         """Wall-clock midnight of each day, as epoch-like seconds."""
-        return np.array([timegm(d.timetuple()) for d in self.days], dtype=np.float64)
+        return (np.array([d.toordinal() for d in self.days], dtype=np.float64) - _EPOCH_ORDINAL) * 86_400
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,34 +164,51 @@ class MinuteSeries:
         return int(np.isfinite(self.prices).sum())
 
 
+@dataclass(frozen=True, eq=False)
+class Ticks:
+    """Epoch seconds and prices as two columns, in input order; iterates as ``TickRecord``s."""
+
+    timestamps: np.ndarray
+    prices: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def __iter__(self):
+        return map(TickRecord, self.timestamps.tolist(), self.prices.tolist())
+
+
 class ParsedTicks(NamedTuple):
-    records: list[TickRecord]
+    records: Ticks
     skipped: int
 
 
 def _parse_timestamp(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    if ":" not in text:  # float() never accepts a ':'
+        try:
+            return float(text)
+        except ValueError:
+            pass
     iso = text.strip()
     if iso.endswith(("Z", "z")):
         iso = iso[:-1] + "+00:00"
     dt = datetime.fromisoformat(iso)
     if dt.tzinfo is None:
-        return timegm(dt.timetuple()) + dt.microsecond * 1e-6
+        days = dt.toordinal() - _EPOCH_ORDINAL
+        return days * 86_400 + dt.hour * 3600 + dt.minute * 60 + dt.second + dt.microsecond * 1e-6
     return dt.timestamp()
 
 
 def parse_ticks(source: str | Path | IO[str], fmt: str = "csv") -> ParsedTicks:
     """Read tick records from a CSV stream or path.
 
-    Returns the valid records in input order plus the count of skipped
-    malformed lines. Lines with unparseable fields, non-positive or
-    non-finite prices, or timestamps that go backwards are skipped. If more
-    than half of the data lines are malformed the whole file is rejected
-    with ``FormatError``. A missing ``timestamp,price`` header is also a
-    ``FormatError``.
+    Returns the valid records in input order, as the two columns of a
+    ``Ticks``, plus the count of skipped malformed lines. Lines with
+    unparseable fields, non-positive or non-finite prices, or timestamps
+    that go backwards are skipped. If more than half of the data lines are
+    malformed the whole file is rejected with ``FormatError``. A missing
+    ``timestamp,price`` header is also a ``FormatError``. Blank lines, and
+    lines whose fields are all blank, are ignored.
     """
     if fmt != "csv":
         raise FormatError(f"unsupported tick format: {fmt!r}")
@@ -210,54 +228,55 @@ def _parse_tick_lines(fh: IO[str]) -> ParsedTicks:
     if header is None or header[:2] != ["timestamp", "price"]:
         raise FormatError("tick CSV must start with a 'timestamp,price' header")
 
-    records: list[TickRecord] = []
-    skipped = 0
-    n_data = 0
-    last_ts = -math.inf
+    # every non-blank line lands in the columns; one that fails to parse is NaN
+    ts_col, px_col = array("d"), array("d")
     for row in reader:
-        if not row or not any(cell.strip() for cell in row):
-            continue
-        n_data += 1
-        if len(row) < 2:
-            skipped += 1
-            continue
         try:
-            ts = _parse_timestamp(row[0].strip())
-            price = float(row[1])
-        except (ValueError, OverflowError):
-            skipped += 1
-            continue
-        if not (math.isfinite(ts) and math.isfinite(price)) or price <= 0 or ts < last_ts:
-            skipped += 1
-            continue
-        last_ts = ts
-        records.append(TickRecord(ts, price))
-    if n_data and skipped * 2 > n_data:
-        raise FormatError(f"{skipped} of {n_data} tick lines malformed")
-    return ParsedTicks(records, skipped)
+            ts, price = _parse_timestamp(row[0].strip()), float(row[1])
+        except (IndexError, ValueError, OverflowError):
+            if not any(cell.strip() for cell in row):
+                continue
+            ts = price = math.nan
+        ts_col.append(ts)
+        px_col.append(price)
+
+    ts, px = np.frombuffer(ts_col), np.frombuffer(px_col)
+    valid = np.isfinite(ts) & np.isfinite(px) & (px > 0)
+    # accepted stamps never decrease: the last one is the running maximum of earlier valid rows
+    latest = np.maximum.accumulate(np.where(valid, ts, -np.inf))
+    keep = valid & (ts >= np.concatenate(([-np.inf], latest[:-1])))
+    skipped = len(ts) - int(keep.sum())
+    if skipped * 2 > len(ts):
+        raise FormatError(f"{skipped} of {len(ts)} tick lines malformed")
+    return ParsedTicks(Ticks(ts[keep], px[keep]), skipped)
 
 
-def tick_days(ticks: Iterable[TickRecord], utc_offset_minutes: int = 0) -> tuple[date, ...]:
-    """Distinct wall-clock dates covered by the ticks, sorted."""
-    offset = utc_offset_minutes * 60
-    day_numbers = {int((t.timestamp + offset) // 86_400) for t in ticks}
-    return tuple(date(1970, 1, 1) + timedelta(days=d) for d in sorted(day_numbers))
+def _columns(ticks: Ticks | Iterable[TickRecord]) -> tuple[np.ndarray, np.ndarray]:
+    if isinstance(ticks, Ticks):
+        return ticks.timestamps, ticks.prices
+    pairs = np.array([(t.timestamp, t.price) for t in ticks], dtype=np.float64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
 
 
-def sample_minutely(ticks: list[TickRecord], cal: TradingCalendar) -> MinuteSeries:
-    """Align ticks to the calendar's minute marks.
+def tick_days(ticks: Ticks | Iterable[TickRecord], utc_offset_minutes: int = 0) -> tuple[date, ...]:
+    """Distinct wall-clock dates covered by ``Ticks`` or ``TickRecord``s, sorted."""
+    day_numbers = np.unique((_columns(ticks)[0] + utc_offset_minutes * 60) // 86_400).tolist()
+    return tuple(date(1970, 1, 1) + timedelta(days=int(d)) for d in day_numbers)
+
+
+def sample_minutely(ticks: Ticks | Iterable[TickRecord], cal: TradingCalendar) -> MinuteSeries:
+    """Align ``Ticks`` or ``TickRecord``s to the calendar's minute marks.
 
     Each mark takes the nearest tick within 30 seconds; an exact tie between
     two ticks goes to the earlier one. Marks with no tick in the window are
     NaN. Raises ``EmptySeriesError`` when nothing lands in any session.
     """
-    if not ticks:
+    ts, px = _columns(ticks)
+    if not len(ts):
         raise EmptySeriesError("no tick records")
-    wall = np.array([t.timestamp for t in ticks], dtype=np.float64)
-    wall += cal.utc_offset_minutes * 60.0
+    wall = ts + cal.utc_offset_minutes * 60.0
     if np.any(np.diff(wall) < 0):
         raise ValueError("ticks must be sorted by timestamp")
-    px = np.array([t.price for t in ticks], dtype=np.float64)
 
     slots = cal.slots
     marks = (cal.day_epochs()[:, None] + slots[None, :] * 60.0).ravel()
@@ -280,14 +299,17 @@ def sample_minutely(ticks: list[TickRecord], cal: TradingCalendar) -> MinuteSeri
 
 
 def write_minute_csv(ms: MinuteSeries, path: str | Path) -> None:
-    """Write a minute series back out in tick-CSV form (one row per present mark)."""
+    """Write a minute series back out in tick-CSV form (one row per present mark).
+
+    Rows end in CRLF and prices are ``repr`` floats; the file is written a day at a time.
+    """
+    slots = ms.slots.astype(np.int64, copy=False).tolist()
+    used = np.isfinite(ms.prices).any(axis=0).tolist()
+    # time() rejects minute 1440 (a session closing at 24:00), so only slots in use get a text
+    clock = [time(s // 60, s % 60).isoformat() if u else "" for s, u in zip(slots, used)]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["timestamp", "price"])
-        for i, d in enumerate(ms.days):
-            for k, slot in enumerate(ms.slots):
-                p = ms.prices[i, k]
-                if not np.isfinite(p):
-                    continue
-                stamp = datetime.combine(d, time(int(slot) // 60, int(slot) % 60))
-                w.writerow([stamp.isoformat(), repr(float(p))])
+        fh.write("timestamp,price\r\n")
+        for d, row in zip(ms.days, ms.prices):
+            k = np.flatnonzero(np.isfinite(row))
+            day = d.isoformat()
+            fh.writelines(f"{day}T{clock[j]},{p!r}\r\n" for j, p in zip(k.tolist(), row[k].tolist()))

@@ -156,14 +156,10 @@ def stage_volatility(cfg: RunConfig, ctx: dict) -> dict[str, Artifact]:
     v, pattern, sd = build_volatility(ms, cfg)
     ctx["series"] = v
     ctx["summary"]["volatility"] = {"n_points": len(v), "sd_deseasonalized": sd}
+    days = [d.isoformat() for d in ms.days]
+    day, slot = map(days.__getitem__, v.day.tolist()), v.slot.astype(np.int64, copy=False).tolist()
     return {
-        "volatility.csv": (
-            ["day", "slot", "v"],
-            (
-                (ms.days[d].isoformat(), int(s), float(x))
-                for d, s, x in zip(v.day, v.slot, v.values)
-            ),
-        ),
+        "volatility.csv": (["day", "slot", "v"], zip(day, slot, v.values.tolist())),
         "pattern.csv": (
             ["slot", "value", "count"],
             zip(pattern.slots.tolist(), pattern.values.tolist(), pattern.counts.tolist()),

@@ -1,10 +1,13 @@
 """Command-line flows and exit codes, exercised in process."""
 
+import io
 import json
 
 import pytest
 
+from volint import validate_config
 from volint.cli import main
+from volint.pipeline import build_volatility, load_minutes, write_rows
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +300,28 @@ def test_subcommand_files_match_analyze(command, files, analyzed, corpus_cfg, tm
     assert sorted(p.name for p in out.iterdir()) == files
     for name in files:
         assert (out / name).read_bytes() == (analyzed / name).read_bytes(), name
+
+
+def test_volatility_csv_matches_per_row_formatting(corpus_cfg, tmp_path, capsys):
+    ticks = tmp_path / "ticks.csv"
+    assert main(["synth", "--n", "5000", "--seed", "9", "--out", str(ticks)]) == 0
+    cfg = corpus_cfg(tmp_path / "run", input=str(ticks))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["analyze", "--config", str(cfg_path)]) == 0
+    assert main(["volatility", "--input", str(ticks), "-o", str(tmp_path / "vol")]) == 0
+    capsys.readouterr()
+    analyzed = (tmp_path / "run" / "volatility.csv").read_bytes()
+    assert analyzed == (tmp_path / "vol" / "volatility.csv").read_bytes()
+
+    # the reference formats each row on its own: one isoformat and one float() per row
+    run_cfg = validate_config(cfg)
+    ms, _ = load_minutes(run_cfg)
+    v, _, _ = build_volatility(ms, run_cfg)
+    rows = ((ms.days[d].isoformat(), int(s), float(x)) for d, s, x in zip(v.day, v.slot, v.values))
+    expected = io.StringIO()
+    write_rows(expected, ["day", "slot", "v"], rows)
+    assert analyzed == expected.getvalue().encode()
 
 
 def test_ks_matrix_output_matches_analyze(analyzed, corpus_cfg, tmp_path, capsys):

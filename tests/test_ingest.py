@@ -1,16 +1,27 @@
 """Tick parsing, calendars, and minute resampling."""
 
-from datetime import date
+import csv
+import io
+import math
+import tracemalloc
+from calendar import timegm
+from datetime import date, datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volint import (
     EmptySeriesError,
     FormatError,
     MinuteSeries,
+    ParsedTicks,
+    SynthSpec,
     TickRecord,
+    Ticks,
     TradingCalendar,
+    generate_minute_csv,
     parse_ticks,
     sample_minutely,
     tick_days,
@@ -224,3 +235,215 @@ def test_minute_csv_round_trip(tmp_path, rng):
     assert parsed.skipped == 0
     rebuilt = sample_minutely(parsed.records, cal)
     np.testing.assert_array_equal(rebuilt.prices, original.prices)
+
+
+# A per-row reference parser: ``parse_ticks`` must match it bit for bit,
+# or raise the same exception type.
+def _ref_parse_timestamp(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        pass
+    iso = text.strip()
+    if iso.endswith(("Z", "z")):
+        iso = iso[:-1] + "+00:00"
+    dt = datetime.fromisoformat(iso)
+    if dt.tzinfo is None:
+        return timegm(dt.timetuple()) + dt.microsecond * 1e-6
+    return dt.timestamp()
+
+
+def _ref_parse_tick_lines(fh) -> ParsedTicks:
+    reader = csv.reader(fh)
+    header = None
+    for row in reader:
+        if row and any(cell.strip() for cell in row):
+            header = [cell.strip().lower() for cell in row]
+            break
+    if header is None or header[:2] != ["timestamp", "price"]:
+        raise FormatError("tick CSV must start with a 'timestamp,price' header")
+
+    records: list[TickRecord] = []
+    skipped = 0
+    n_data = 0
+    last_ts = -math.inf
+    for row in reader:
+        if not row or not any(cell.strip() for cell in row):
+            continue
+        n_data += 1
+        if len(row) < 2:
+            skipped += 1
+            continue
+        try:
+            ts = _ref_parse_timestamp(row[0].strip())
+            price = float(row[1])
+        except (ValueError, OverflowError):
+            skipped += 1
+            continue
+        if not (math.isfinite(ts) and math.isfinite(price)) or price <= 0 or ts < last_ts:
+            skipped += 1
+            continue
+        last_ts = ts
+        records.append(TickRecord(ts, price))
+    if n_data and skipped * 2 > n_data:
+        raise FormatError(f"{skipped} of {n_data} tick lines malformed")
+    return ParsedTicks(records, skipped)
+
+
+_GARBAGE = st.text(alphabet="0123456789:-+.eETZz _nainf x", max_size=12)
+_NAIVE = st.builds(
+    datetime.isoformat,
+    st.datetimes(min_value=datetime(2004, 1, 5, 9), max_value=datetime(2004, 1, 5, 9, 0, 3)),
+    st.sampled_from(["T", " "]),
+    st.sampled_from(["seconds", "milliseconds", "microseconds"]),
+)
+_STAMPS = st.one_of(
+    st.sampled_from(["1e10", "nan", "inf", "-0.0", "1073295002.5", "1073295002"]),
+    st.floats(min_value=1.0732e9, max_value=1.0733e9).map(repr),
+    _NAIVE,
+    st.dates(min_value=date(2004, 1, 4), max_value=date(2004, 1, 6)).map(date.isoformat),
+    st.tuples(_NAIVE, st.sampled_from(["Z", "z", "+08:00", "-05:30", "+00:00"])).map("".join),
+    _GARBAGE,
+)
+_PRICES = st.one_of(
+    st.sampled_from(["0", "-1.5", "nan", "inf", "1e400", "1_000", "100.5", " 7 ", ""]),
+    st.floats(min_value=-10.0, max_value=1e6).map(repr),
+    _GARBAGE,
+)
+_GOOD = st.tuples(
+    st.one_of(_NAIVE, st.floats(min_value=1.0732e9, max_value=1.0733e9).map(repr)),
+    st.floats(min_value=0.01, max_value=1e6).map(repr),
+).map(",".join)
+_ODD = st.one_of(
+    st.tuples(_STAMPS, _PRICES).map(",".join),
+    st.tuples(_STAMPS, _PRICES, _GARBAGE).map(",".join),
+    _STAMPS,  # a one-field row
+    st.sampled_from(["", ",,", "   ", " , ", ","]),
+)
+
+
+@st.composite
+def _bodies(draw):
+    lines = draw(st.lists(_GOOD, max_size=10)) + draw(st.lists(_ODD, max_size=8))
+    return "timestamp,price\n" + "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_bodies())
+def test_parse_matches_per_row_reference(text):
+    try:
+        expected = _ref_parse_tick_lines(io.StringIO(text))
+    except Exception as e:  # the column parser must raise the same type
+        with pytest.raises(type(e)):
+            parse_ticks(io.StringIO(text))
+        return
+    got = parse_ticks(io.StringIO(text))
+    assert got.skipped == expected.skipped
+    want = np.array([(r.timestamp, r.price) for r in expected.records], dtype=np.float64).reshape(-1, 2)
+    assert got.records.timestamps.tobytes() == want[:, 0].tobytes()
+    assert got.records.prices.tobytes() == want[:, 1].tobytes()
+    assert list(got.records) == expected.records
+
+
+def test_backward_check_ignores_invalid_rows(tick_csv):
+    # the negative-price row's later stamp must not make 09:30:05 "backward"
+    path = tick_csv(
+        [
+            "2004-01-05T09:30:01,100.0",
+            "2004-01-05T09:30:09,-1.0",
+            "2004-01-05T09:30:05,101.0",
+        ]
+    )
+    parsed = parse_ticks(path)
+    assert parsed.skipped == 1
+    assert [r.price for r in parsed.records] == [100.0, 101.0]
+
+
+def test_equal_timestamps_are_both_kept(tick_csv):
+    path = tick_csv(["2004-01-05T09:30:01,100.0", "2004-01-05T09:30:01,100.5"])
+    parsed = parse_ticks(path)
+    assert parsed.skipped == 0
+    assert [r.price for r in parsed.records] == [100.0, 100.5]
+
+
+def test_aware_stamps_shift_to_utc(tick_csv):
+    path = tick_csv(
+        [
+            "2004-01-05T09:30:00,1.0",
+            "2004-01-05T17:30:00+08:00,2.0",
+            "2004-01-05T09:30:00Z,3.0",
+        ]
+    )
+    parsed = parse_ticks(path)
+    assert parsed.skipped == 0
+    assert parsed.records.timestamps.tolist() == [1073295000.0] * 3
+
+
+def test_date_only_stamp_is_midnight(tick_csv):
+    ticks, skipped = parse_ticks(tick_csv(["2004-01-05,1.0"]))
+    assert skipped == 0
+    assert isinstance(ticks, Ticks) and len(ticks) == 1
+    assert list(ticks) == [TickRecord(1073260800.0, 1.0)]
+
+
+def test_blank_field_lines_are_not_counted(tick_csv):
+    good = ["2004-01-05T09:30:01,100.5", "2004-01-05T09:30:02,100.6"]
+    blank = [",,", "   ", " , ", ""]
+    path = tick_csv(blank + good + blank + ["x,1", "y,2"] + blank)
+    assert parse_ticks(path).skipped == 2
+    path = tick_csv(good + blank + ["x,1", "y,2", "z,3"])
+    with pytest.raises(FormatError, match="3 of 5"):
+        parse_ticks(path)
+
+
+def test_minute_csv_pinned_bytes(tmp_path):
+    # 09:32 of the first day and the whole afternoon of the second are missing
+    cal = TradingCalendar(days=(DAY, date(2004, 1, 6)), sessions=((570, 573), (780, 783)))
+    nan = np.nan
+    prices = np.array(
+        [
+            [1.0000000000000002, nan, 0.1 + 0.2, 12345678901234567.0, 100.0, 2.5e-7],
+            [3.0, 1e22, 99.99, nan, nan, nan],
+        ]
+    )
+    ms = MinuteSeries(days=cal.days, slots=cal.slots, session_id=cal.session_id, prices=prices)
+    path = tmp_path / "minutes.csv"
+    write_minute_csv(ms, path)
+    assert path.read_bytes() == (
+        b"timestamp,price\r\n"
+        b"2004-01-05T09:31:00,1.0000000000000002\r\n"
+        b"2004-01-05T09:33:00,0.30000000000000004\r\n"
+        b"2004-01-05T13:01:00,1.2345678901234568e+16\r\n"
+        b"2004-01-05T13:02:00,100.0\r\n"
+        b"2004-01-05T13:03:00,2.5e-07\r\n"
+        b"2004-01-06T09:31:00,3.0\r\n"
+        b"2004-01-06T09:32:00,1e+22\r\n"
+        b"2004-01-06T09:33:00,99.99\r\n"
+    )
+
+
+@pytest.fixture(scope="module")
+def corpus_140k(tmp_path_factory):
+    path = tmp_path_factory.mktemp("io") / "ticks.csv"
+    ms = generate_minute_csv(SynthSpec(kind="iid_gaussian_abs", n=140_000, seed=1), path)
+    return path, ms
+
+
+def _peak_mib(fn, *args) -> float:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_memory_is_column_sized(corpus_140k):
+    # two float64 columns of 141k rows take 2.2 MiB; a TickRecord per row took 19 MiB
+    path, _ = corpus_140k
+    assert _peak_mib(parse_ticks, path) < 8
+
+
+def test_minute_writer_streams_by_day(corpus_140k, tmp_path):
+    _, ms = corpus_140k
+    assert _peak_mib(write_minute_csv, ms, tmp_path / "minutes.csv") < 4
