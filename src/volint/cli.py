@@ -215,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input")
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int)
     _add_lattice_arg(p)
     p.set_defaults(func=cmd_analyze)
 

@@ -47,7 +47,6 @@ class RunConfig:
     overlap_counts: bool = True
     lattice: bool = True
     tol_mean: float = 0.5
-    jobs: int = 1
 
     @property
     def q_grid(self) -> np.ndarray:
@@ -112,7 +111,7 @@ def validate_config(raw: Mapping[str, Any] | None) -> RunConfig:
     if q_max < q_min:
         problems.append("q_max must be >= q_min")
 
-    for key, minimum in (("bins_per_decade", 1), ("n_boot", 100), ("seed", 0), ("jobs", 1)):
+    for key, minimum in (("bins_per_decade", 1), ("n_boot", 100), ("seed", 0)):
         if key in values:
             v = values[key]
             if not isinstance(v, int) or isinstance(v, bool) or v < minimum:

@@ -82,21 +82,6 @@ class FitFailureError(StatError):
         super().__init__(message)
 
 
-class MomentOverflowError(StatError):
-    """Moment order too large for finite-precision evaluation.
-
-    Log-domain accumulation makes this unreachable for finite inputs of
-    ordinary magnitude; it is kept as a safeguard for extreme values.
-    """
-
-    def __init__(self, m: float, max_safe_m: float):
-        self.m = m
-        self.max_safe_m = max_safe_m
-        super().__init__(
-            f"moment of order {m:g} overflows; orders up to about {max_safe_m:.1f} are representable"
-        )
-
-
 class StageError(VolintError):
     """A pipeline stage failed; wraps the underlying error."""
 

@@ -7,12 +7,17 @@ The root-moment of a scaled interval sample is
 so mu_1 is 1 by construction. Under pure scaling mu_m is flat in <tau>; the
 exponent alpha(m) is the log-log slope of mu_m against <tau> across a
 threshold sweep, fitted inside a medium region of <tau> (default 10 to 100)
-where neither discreteness nor tail noise dominates. The extended
-self-similarity (ESS) variant regresses log<tau**m> on log<tau**n> and is
-linked to alpha by (alpha + 1) / n = xi(m, n) / m.
+where neither discreteness nor tail noise dominates.
 
-All power means are accumulated in the log domain when direct evaluation
-would overflow.
+The extended self-similarity (ESS) variant regresses log<tau**m> on
+log<tau**n>. It reads the moment curves of one sweep, since
+log<tau**m> = m log(mu_m <tau>), so it regresses over the same thresholds
+as alpha and is linked to it by (alpha + 1) / n = xi(m, n) / m. With n = 1,
+which is what ``analyze`` writes, xi(m, 1) = m (1 + alpha) on the same
+points, so ``ess.csv`` restates ``alpha.csv``.
+
+Power means are evaluated directly, and rescaled by the largest interval
+when the direct sum over- or underflows.
 """
 
 from __future__ import annotations
@@ -21,13 +26,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .errors import InsufficientEventsError, InsufficientPointsError, MomentOverflowError
+from .errors import InsufficientEventsError, InsufficientPointsError
 from .intervals import IntervalSample, extract_intervals, threshold_for_mean
 from .semodel import SEModel, analytic_moment, fit_mle
-
-_LOG_MAX = 700.0
 
 
 def _tau_values(sample) -> np.ndarray:
@@ -41,21 +43,18 @@ def _tau_values(sample) -> np.ndarray:
     return tau
 
 
-def _log_mean_pow(tau: np.ndarray, m: float) -> float:
-    """log(<tau**m>), accumulated in the log domain."""
-    return float(logsumexp(m * np.log(tau)) - np.log(len(tau)))
-
-
 def _root_mean_pow(tau: np.ndarray, m: float) -> float:
-    """<tau**m>**(1/m), falling back to log-domain accumulation on overflow."""
+    """<tau**m>**(1/m), rescaled by max(tau) when the direct mean over- or underflows.
+
+    The rescaled mean lies in [1/len(tau), 1] and the root never exceeds
+    max(tau), so the result is always finite.
+    """
     with np.errstate(over="ignore"):
         s = float(np.mean(tau**m))
     if np.isfinite(s) and s > 0.0:
         return float(s ** (1.0 / m))
-    log_root = _log_mean_pow(tau, m) / m
-    if log_root > _LOG_MAX:
-        raise MomentOverflowError(m, m * _LOG_MAX / log_root)
-    return float(np.exp(log_root))
+    top = float(tau.max())
+    return top * float(np.mean((tau / top) ** m)) ** (1.0 / m)
 
 
 def empirical_moment(sample, m: float) -> float:
@@ -114,17 +113,12 @@ class MomentCurve:
         return len(self.q)
 
 
-def moment_curve(v, m: float, q_grid: Sequence[float], cross_day: bool = True) -> MomentCurve:
-    """Sweep thresholds and record (q, <tau>, mu_m).
-
-    Grid points with fewer than two exceedances are dropped and noted, as
-    are points whose <tau> does not strictly exceed the previous kept one
-    (ties happen when neighboring thresholds select identical exceedance
-    sets). Raises ``InsufficientPointsError`` if nothing survives.
-    """
-    if m <= 0:
-        raise ValueError("moment order must be positive")
-    qs, means, mus, counts = [], [], [], []
+def _sweep(v, orders: Sequence[float], q_grid: Sequence[float], cross_day: bool) -> list[MomentCurve]:
+    """``moment_curve`` for each of ``orders``, from one extraction per grid point."""
+    if any(m <= 0 for m in orders):
+        raise ValueError("moment orders must be positive")
+    qs, means, counts = [], [], []
+    mus: list[list[float]] = [[] for _ in orders]
     dropped: list[tuple[float, str]] = []
     for q in sorted(float(q) for q in q_grid):
         try:
@@ -138,18 +132,40 @@ def moment_curve(v, m: float, q_grid: Sequence[float], cross_day: bool = True) -
             continue
         qs.append(q)
         means.append(mean)
-        mus.append(empirical_moment(s, m))
         counts.append(len(s))
+        for mu, m in zip(mus, orders):
+            mu.append(empirical_moment(s, m))
     if not qs:
         raise InsufficientPointsError("no grid threshold produced two exceedances")
-    return MomentCurve(
-        m=m,
-        q=np.array(qs),
-        mean_tau=np.array(means),
-        mu=np.array(mus),
-        n_intervals=np.array(counts),
-        dropped=tuple(dropped),
-    )
+    q_arr, mean_arr, count_arr = np.array(qs), np.array(means), np.array(counts)
+    return [
+        MomentCurve(
+            m=m, q=q_arr, mean_tau=mean_arr, mu=np.array(mu), n_intervals=count_arr, dropped=tuple(dropped)
+        )
+        for m, mu in zip(orders, mus)
+    ]
+
+
+def moment_curve(v, m: float, q_grid: Sequence[float], cross_day: bool = True) -> MomentCurve:
+    """Sweep thresholds and record (q, <tau>, mu_m).
+
+    Grid points with fewer than two exceedances are dropped and noted, as
+    are points whose <tau> does not strictly exceed the previous kept one
+    (ties happen when neighboring thresholds select identical exceedance
+    sets). Raises ``InsufficientPointsError`` if nothing survives.
+    """
+    return _sweep(v, (m,), q_grid, cross_day)[0]
+
+
+def _region_mask(mean_tau: np.ndarray, region: tuple[float, float]) -> np.ndarray:
+    """Points with region[0] < <tau> < region[1]; fewer than three raises."""
+    lo, hi = region
+    mask = (mean_tau > lo) & (mean_tau < hi)
+    if int(mask.sum()) < 3:
+        raise InsufficientPointsError(
+            f"{int(mask.sum())} curve points inside ({lo:g}, {hi:g}); need at least 3"
+        )
+    return mask
 
 
 @dataclass(frozen=True)
@@ -168,14 +184,9 @@ def fit_alpha(curve: MomentCurve, region: tuple[float, float] = (10.0, 100.0)) -
     Only points with region[0] < <tau> < region[1] enter; fewer than three
     such points raises ``InsufficientPointsError``.
     """
-    lo, hi = region
-    mask = (curve.mean_tau > lo) & (curve.mean_tau < hi)
-    if int(mask.sum()) < 3:
-        raise InsufficientPointsError(
-            f"{int(mask.sum())} curve points inside ({lo:g}, {hi:g}); need at least 3"
-        )
+    mask = _region_mask(curve.mean_tau, region)
     slope, stderr = _ols_slope(np.log(curve.mean_tau[mask]), np.log(curve.mu[mask]))
-    return AlphaFit(alpha=slope, stderr=stderr, n_points=int(mask.sum()), region=(lo, hi))
+    return AlphaFit(alpha=slope, stderr=stderr, n_points=int(mask.sum()), region=tuple(region))
 
 
 @dataclass(frozen=True)
@@ -200,39 +211,19 @@ def ess_xi(
     region: tuple[float, float] = (10.0, 100.0),
     cross_day: bool = True,
 ) -> EssReport:
-    """Regress log<tau**m> on log<tau**n> across thresholds in the region.
+    """Regress log<tau**m> on log<tau**n> across the swept thresholds in the region.
 
-    Also reports alpha = xi(m, 1) / m - 1 and the identity check
+    The points are those ``fit_alpha`` takes from ``moment_curve`` on the
+    same grid. Also reports alpha = xi(m, 1) / m - 1 and the identity check
     (alpha + 1) / n - xi(m, n) / m, which is 0 by construction when n = 1.
     """
-    if m <= 0 or n <= 0:
-        raise ValueError("moment orders must be positive")
-    lo, hi = region
-    means: list[float] = []
-    log_m, log_n, log_1 = [], [], []
-    for q in sorted(float(q) for q in q_grid):
-        try:
-            s = extract_intervals(v, q, cross_day=cross_day)
-        except InsufficientEventsError:
-            continue
-        mean = s.mean_interval
-        if not (lo < mean < hi) or (means and mean <= means[-1]):
-            continue
-        tau = s.tau.astype(np.float64)
-        means.append(mean)
-        log_m.append(_log_mean_pow(tau, m))
-        log_n.append(_log_mean_pow(tau, n))
-        log_1.append(_log_mean_pow(tau, 1.0))
-    if len(means) < 3:
-        raise InsufficientPointsError(
-            f"{len(means)} usable thresholds inside ({lo:g}, {hi:g}); need at least 3"
-        )
-    xi, stderr = _ols_slope(np.array(log_n), np.array(log_m))
-    if n == 1.0:
-        xi_m1 = xi
-    else:
-        xi_m1, _ = _ols_slope(np.array(log_1), np.array(log_m))
-    alpha = xi_m1 / m - 1.0
+    # the last order is 1, so the n = 1 regression doubles as the alpha one
+    orders = (m, n) if n == 1.0 else (m, n, 1.0)
+    curves = _sweep(v, orders, q_grid, cross_day)
+    mask = _region_mask(curves[0].mean_tau, region)
+    logs = [c.m * np.log(c.mu[mask] * c.mean_tau[mask]) for c in curves]
+    xi, stderr = _ols_slope(logs[1], logs[0])
+    alpha = _ols_slope(logs[-1], logs[0])[0] / m - 1.0
     return EssReport(
         m=m,
         n=n,
@@ -240,8 +231,8 @@ def ess_xi(
         stderr=stderr,
         alpha=alpha,
         identity_gap=(alpha + 1.0) / n - xi / m,
-        n_points=len(means),
-        region=(lo, hi),
+        n_points=int(mask.sum()),
+        region=tuple(region),
     )
 
 

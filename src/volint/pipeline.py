@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from bisect import insort
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
@@ -198,13 +197,7 @@ def stage_ks(cfg: RunConfig, ctx: dict) -> dict[str, Artifact]:
 
 
 def stage_fit(cfg: RunConfig, ctx: dict) -> dict[str, Artifact]:
-    samples = ctx["samples"]
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            reports = list(pool.map(lambda s: fit_threshold(cfg, s), samples))
-    else:
-        reports = [fit_threshold(cfg, s) for s in samples]
-    fits = ctx["summary"]["fits"] = [r.to_dict() for r in reports]
+    fits = ctx["summary"]["fits"] = [fit_threshold(cfg, s).to_dict() for s in ctx["samples"]]
     return {
         "fits.csv": _table(["q", "mode", "c", "a", "gamma", "n", "ks", "p", "n_boot", "seed"], fits),
         "fits.json": partial(_write_json, fits),

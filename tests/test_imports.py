@@ -1,0 +1,62 @@
+"""Every volint module uses each name it imports.
+
+A deleted code path should take its imports with it. ``__init__.py`` is
+exempt because its imports are the package's exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "volint"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Bound name -> line of every import outside ``from __future__``."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Names loaded anywhere, including inside string annotations."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for ann in filter(None, _annotations(tree)):
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parsed = ast.parse(node.value, mode="eval")
+                used |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used(tree)
+    unused = sorted((line, name) for name, line in _imported(tree).items() if name not in used)
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_string_annotation_counts_as_use():
+    tree = ast.parse("from x import A, B\n\ndef f(a: 'A') -> 'list[B]':\n    pass\n")
+    assert set(_imported(tree)) <= _used(tree)
+    tree = ast.parse("from x import A\n")
+    assert "A" not in _used(tree)

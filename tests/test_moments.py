@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from volint import (
     InsufficientPointsError,
     IntervalSample,
-    MomentOverflowError,
     empirical_moment,
     ess_mu,
     ess_xi,
@@ -74,11 +73,11 @@ def test_root_mean_pow_overflow_fallback():
     np.testing.assert_allclose(_root_mean_pow(x, 2.0), 1e250, rtol=1e-12)
 
 
-def test_moment_overflow_is_signaled():
-    # the root mean itself sits beyond exp(700), so no representation helps
-    x = np.array([1e308, 1e308])
-    with pytest.raises(MomentOverflowError):
-        _root_mean_pow(x, 2.0)
+def test_representable_root_means_come_back():
+    # mean(x**2) overflows, but the root mean and the ratio are representable
+    x = np.array([1e306, 3e306])
+    np.testing.assert_allclose(_root_mean_pow(x, 2.0), np.sqrt(5.0) * 1e306, rtol=1e-12)
+    np.testing.assert_allclose(ess_mu(x, 2.0, 1.0), np.sqrt(5.0) / 2.0, rtol=1e-12)
 
 
 def test_interval_sample_inputs_accepted():
@@ -172,6 +171,24 @@ def test_ess_xi_n_one_gap_is_exactly_zero():
     assert report.n_points >= 3
     # iid volatility: <tau**2> grows about quadratically against <tau>
     assert abs(report.xi - 2.0) < 0.2
+
+
+def test_alpha_and_ess_share_one_keep_rule():
+    # <tau> runs 2, 5, 10, 200 over q = 1..4; q = 5 gives 12 and is dropped,
+    # so only 2, 5 and 10 lie inside (1.5, 100) for alpha and ESS alike
+    v = np.full(401, 0.5)
+    v[[0, 12]] = 5.5
+    v[400] = 4.5
+    rest = [i for i in range(1, 400) if i != 12]
+    v[rest[:38]] = 3.5
+    v[rest[38:78]] = 2.5
+    v[rest[78:198]] = 1.5
+    grid = [1.0, 2.0, 3.0, 4.0, 5.0]
+    region = (1.5, 100.0)
+    curve = moment_curve(v, 2.0, grid)
+    assert list(curve.mean_tau) == [2.0, 5.0, 10.0, 200.0]
+    assert ess_xi(v, 2.0, 1.0, grid, region=region).n_points == 3
+    assert fit_alpha(curve, region=region).n_points == 3
 
 
 def test_ess_xi_too_few_points():
