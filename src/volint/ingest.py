@@ -304,12 +304,14 @@ def write_minute_csv(ms: MinuteSeries, path: str | Path) -> None:
     Rows end in CRLF and prices are ``repr`` floats; the file is written a day at a time.
     """
     slots = ms.slots.astype(np.int64, copy=False).tolist()
-    used = np.isfinite(ms.prices).any(axis=0).tolist()
-    # time() rejects minute 1440 (a session closing at 24:00), so only slots in use get a text
-    clock = [time(s // 60, s % 60).isoformat() if u else "" for s, u in zip(slots, used)]
+    # minute 1440, the close of a session ending at 24:00, is the next day's 00:00
+    clock = [time(s // 60 % 24, s % 60).isoformat() for s in slots]
+    next_day = [s // 1440 for s in slots]
     with open(path, "w", newline="") as fh:
         fh.write("timestamp,price\r\n")
         for d, row in zip(ms.days, ms.prices):
             k = np.flatnonzero(np.isfinite(row))
-            day = d.isoformat()
-            fh.writelines(f"{day}T{clock[j]},{p!r}\r\n" for j, p in zip(k.tolist(), row[k].tolist()))
+            day = (d.isoformat(), (d + timedelta(days=1)).isoformat())
+            fh.writelines(
+                f"{day[next_day[j]]}T{clock[j]},{p!r}\r\n" for j, p in zip(k.tolist(), row[k].tolist())
+            )

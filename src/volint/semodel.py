@@ -22,7 +22,10 @@ interval fell in ((k - 1) h, k h] (the discretised-Weibull idea of Nakagawa
 
 For continuous data the likelihood has a closed-form maximum in a at fixed
 gamma, a(gamma) = n / (gamma * sum(x**gamma)), so ``fit_mle`` maximizes the
-profile likelihood over gamma alone with one bounded scalar search.
+profile likelihood over gamma alone with one bounded scalar search. The
+censored likelihood and the least-squares fit are profiled over gamma the
+same way, with the inner maximum found by Newton's method and by linear
+least squares; all three searches run one bounded minimiser, Brent's.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy import optimize
 from scipy.special import gammainc, gammaincc, gammaln
 from scipy.special import gamma as gamma_function
 
@@ -39,7 +41,6 @@ from .errors import FitFailureError
 from .intervals import PdfTable
 
 GAMMA_BOUNDS = (0.05, 2.0)
-_MLE_STARTS = (0.3, 0.6, 1.0)
 
 
 def normalization_c(a: float, gamma: float) -> float:
@@ -179,6 +180,97 @@ def _profile_nll(g: float, shifted_log_x: np.ndarray, top: float) -> float:
     return -len(shifted_log_x) * (np.log(g) + (log_a - 1.0) / g - gammaln(1.0 / g))
 
 
+def _minimize_bounded(func, bounds, args, xatol):
+    """Minimize func(x, *args) over [lo, hi] by Brent's bounded search.
+
+    A port of scipy 1.17's ``optimize.minimize_scalar(method="bounded")``
+    (Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 5),
+    with the same golden-section and parabolic steps, tolerances and
+    comparisons, numpy scalar types and limit of 500 evaluations, so it
+    evaluates ``func`` at the same points. The bounds themselves are never
+    evaluated.
+
+    Returns
+    -------
+    tuple
+        (x, func(x), number of evaluations) at the best point found.
+    """
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = bounds
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf, *args)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while np.abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if np.abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if np.abs(p) < np.abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = func(x, *args)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx, num
+
+
+def _bounded_min(func, bounds, args=()) -> tuple[float, float]:
+    """(x, func(x)) at the lowest of Brent's optimum on [lo, hi] and the two bounds.
+
+    An xatol of 1e-10, far below scipy's default 1e-5, leaves only the
+    search's relative floor, a few 1e-8 * x, between the result and the
+    optimum; the search only approaches the bounds, so they are tried as
+    well.
+    """
+    x, fx, _ = _minimize_bounded(func, bounds, args, xatol=1e-10)
+    return min([(float(x), float(fx))] + [(b, func(b, *args)) for b in bounds], key=lambda t: t[1])
+
+
 def _log_sf(s: float, u: np.ndarray) -> np.ndarray:
     """log Q(s, u) of the upper regularized incomplete gamma function.
 
@@ -195,13 +287,15 @@ def _log_sf(s: float, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _censored_nll(params: np.ndarray, k: np.ndarray, count: np.ndarray, h: float) -> float:
-    """Negative log-likelihood of lattice counts: tau = k lies in ((k-1) h, k h]."""
-    a, g = params
-    if a <= 0 or g <= 0:
-        return np.inf
-    log_lower = _log_sf(1.0 / g, a * ((k - 1.0) * h) ** g)
-    log_upper = _log_sf(1.0 / g, a * (k * h) ** g)
+def _cell_log_p(a: float, g: float, k: np.ndarray, h: float):
+    """log of the model's mass in each cell ((k-1) h, k h], and the edges u = a x**gamma.
+
+    Returns (log p, u at (k-1) h, u at k h).
+    """
+    u_lo = a * ((k - 1.0) * h) ** g
+    u_hi = a * (k * h) ** g
+    log_lower = _log_sf(1.0 / g, u_lo)
+    log_upper = _log_sf(1.0 / g, u_hi)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p = log_lower + np.log(-np.expm1(log_upper - log_lower))
     flat = ~np.isfinite(log_p)
@@ -210,7 +304,76 @@ def _censored_nll(params: np.ndarray, k: np.ndarray, count: np.ndarray, h: float
         mid = (k[flat] - 0.5) * h
         log_c = np.log(g) + np.log(a) / g - gammaln(1.0 / g)
         log_p[flat] = log_c - a * mid**g + np.log(h)
-    return -float(np.dot(count, log_p))
+    return log_p, u_lo, u_hi
+
+
+def _censored_nll(params: np.ndarray, k: np.ndarray, count: np.ndarray, h: float) -> float:
+    """Negative log-likelihood of lattice counts: tau = k lies in ((k-1) h, k h]."""
+    a, g = params
+    if a <= 0 or g <= 0:
+        return np.inf
+    return -float(np.dot(count, _cell_log_p(a, g, k, h)[0]))
+
+
+def _censored_profile(g: float, k: np.ndarray, count: np.ndarray, h: float, t: float):
+    """Maximize the censored likelihood over t = log a at fixed gamma, by Newton from t.
+
+    With s = 1/gamma, u = a x**gamma and psi(u) = u**s e**-u / Gamma(s), a
+    cell's mass moves as dp/dt = psi(u_hi) - psi(u_lo), and dpsi/dt =
+    psi (s - u), so both derivatives of the log-likelihood are closed forms
+    in the ratios psi/p, taken in log space. The log-likelihood is concave
+    in t (log u of a Gamma variate has a log-concave density), but far from
+    the optimum a Newton step can be huge or, where rounding leaves the
+    curvature non-negative, point downhill; each step is therefore capped
+    at 1 in t and made uphill.
+
+    Returns
+    -------
+    tuple
+        (negative log-likelihood, t) at the last iterate, the value equal
+        to ``_censored_nll`` at (exp(t), gamma).
+    """
+    s = 1.0 / g
+    log_gamma_s = gammaln(s)
+    for _ in range(100):
+        log_p, u_lo, u_hi = _cell_log_p(np.exp(t), g, k, h)
+        with np.errstate(divide="ignore"):
+            r_lo = np.exp(s * np.log(u_lo) - u_lo - log_gamma_s - log_p)
+            r_hi = np.exp(s * np.log(u_hi) - u_hi - log_gamma_s - log_p)
+        dp = r_hi - r_lo
+        d1 = float(np.dot(count, dp))
+        d2 = float(np.dot(count, r_hi * (s - u_hi) - r_lo * (s - u_lo) - dp * dp))
+        step = min(max(-d1 / d2 if d2 < 0 else float(np.sign(d1)), -1.0), 1.0)
+        if not abs(step) > 1e-10:  # converged, or the derivatives are NaN
+            break
+        t += step
+    return -float(np.dot(count, log_p)), t
+
+
+def _fit_censored(x: np.ndarray, k: np.ndarray, count: np.ndarray, h: float) -> SEModel:
+    """Censored MLE: Brent over gamma in GAMMA_BOUNDS, Newton in log a at each gamma.
+
+    The first Newton run starts from the continuous a(gamma) of the values
+    x, each later one from the previous optimum.
+    """
+    t_at: dict[float, float] = {}
+    t_warm = None
+
+    def nll(g: float) -> float:
+        nonlocal t_warm
+        start = float(np.log(_profile_a(g, x**g))) if t_warm is None else t_warm
+        value, t = _censored_profile(g, k, count, h, start)
+        if not np.isfinite(value):
+            return np.inf
+        t_at[g] = t_warm = t
+        return value
+
+    g, value = _bounded_min(nll, GAMMA_BOUNDS)
+    with np.errstate(over="ignore"):
+        a = float(np.exp(t_at[g])) if g in t_at else np.nan
+    if not (np.isfinite(value) and 0.0 < a < np.inf):
+        raise FitFailureError("censored likelihood has no finite optimum", best=(a, g))
+    return SEModel.normalized(a=a, gamma=g)
 
 
 def fit_mle(sample: np.ndarray) -> SEModel:
@@ -224,9 +387,10 @@ def fit_mle(sample: np.ndarray) -> SEModel:
     as ``IntervalSample.scaled()`` returns, each value x = k h counts as a
     continuous value censored to ((k-1) h, k h] and the likelihood is
     sum_k c_k log(S((k-1) h) - S(k h)), with c_k the number of values equal
-    to k h and S the model's survival function. That optimization is
-    bounded (gamma in [0.05, 2], a > 0) and multi-started from gamma in
-    {0.3, 0.6, 1.0} with a(gamma) at each start.
+    to k h and S the model's survival function. It is profiled the same
+    way: the same bounded search over gamma in [0.05, 2] (bounds included),
+    with the best log a at each gamma found by Newton's method on the
+    distinct cells (k, c_k), from closed-form derivatives.
 
     Parameters
     ----------
@@ -237,7 +401,7 @@ def fit_mle(sample: np.ndarray) -> SEModel:
     Returns
     -------
     SEModel
-        Constrained model at the best optimum found.
+        Constrained model at the optimum found.
 
     Raises
     ------
@@ -245,8 +409,7 @@ def fit_mle(sample: np.ndarray) -> SEModel:
         Fewer than 50 values, any value <= 0, or values that are not
         multiples of their ``step``.
     FitFailureError
-        The optimum is not finite (continuous), or no start converged
-        (lattice); carries the best iterate in ``best``.
+        The optimum is not finite; carries the best iterate in ``best``.
     """
     step = getattr(sample, "step", None)
     x = np.asarray(sample, dtype=np.float64)
@@ -262,25 +425,7 @@ def fit_mle(sample: np.ndarray) -> SEModel:
     if np.any(np.abs(ratio - k) > 1e-6) or np.any(k < 1):
         raise ValueError("lattice values must be positive multiples of their step")
     k, count = np.unique(k, return_counts=True)
-
-    best: optimize.OptimizeResult | None = None
-    for g0 in _MLE_STARTS:
-        res = optimize.minimize(
-            _censored_nll,
-            x0=np.array([_profile_a(g0, x**g0), g0]),
-            args=(k, count, float(step)),
-            method="L-BFGS-B",
-            bounds=[(1e-10, None), GAMMA_BOUNDS],
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    if best is None or not np.isfinite(best.fun):
-        raise FitFailureError(
-            "likelihood optimization failed from every start",
-            best=None if best is None else tuple(best.x),
-        )
-    a, g = float(best.x[0]), float(best.x[1])
-    return SEModel.normalized(a=a, gamma=g)
+    return _fit_censored(x, k, count, float(step))
 
 
 def _fit_profile(x: np.ndarray) -> SEModel:
@@ -288,16 +433,7 @@ def _fit_profile(x: np.ndarray) -> SEModel:
     log_x = np.log(x)
     top = float(np.max(log_x))
     args = (log_x - top, top)
-    # an xatol far below the default 1e-5 leaves only the search's relative
-    # floor, a few 1e-8 * gamma, between the result and the optimum
-    res = optimize.minimize_scalar(
-        _profile_nll, bounds=GAMMA_BOUNDS, args=args, method="bounded", options={"xatol": 1e-10}
-    )
-    # the bounded search only approaches the bounds, so try them as well
-    g, nll = min(
-        [(float(res.x), float(res.fun))] + [(b, _profile_nll(b, *args)) for b in GAMMA_BOUNDS],
-        key=lambda t: t[1],
-    )
+    g, nll = _bounded_min(_profile_nll, GAMMA_BOUNDS, args)
     with np.errstate(over="ignore"):
         a = float(np.exp(_profile_log_a(g, *args)))
     if not (np.isfinite(nll) and 0.0 < a < np.inf):
@@ -305,55 +441,59 @@ def _fit_profile(x: np.ndarray) -> SEModel:
     return SEModel.normalized(a=a, gamma=g)
 
 
+def _lsq_fit(g: float, xc: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """(sum of squares, (log c, a)) of the best line y ~ log c - a * xc**g with a >= 0.
+
+    At fixed gamma the model is linear in (log c, a). Where the free
+    solution has a < 0, the constrained one has a = 0 and log c = mean(y).
+    """
+    design = np.column_stack([np.ones_like(xc), -(xc**g)])
+    coef = np.linalg.lstsq(design, y, rcond=None)[0]
+    if coef[1] < 0:
+        coef = np.array([np.mean(y), 0.0])
+    return float(np.sum((y - design @ coef) ** 2)), coef
+
+
 def fit_lsq(pdf: PdfTable) -> SEModel:
     """Least-squares fit of (c, a, gamma) to a log-binned density.
 
     Minimizes sum over non-empty bins of
     (log(density) - (log(c) - a * center**gamma))**2 with c free, so the
-    result is marked ``constrained=False``. The start point comes from a
-    gamma grid scan, where the model is linear in (log c, a).
+    result is marked ``constrained=False``. At fixed gamma the model is
+    linear in (log c, a), so the sum of squares is profiled over gamma
+    (variable projection): a 40-point gamma grid finds the best decaying
+    grid point, and a bounded search between its two neighbours refines it.
 
     Raises
     ------
     ValueError
         Fewer than 5 non-empty bins.
     FitFailureError
-        Flat density (a -> 0) or gamma stuck at the lower bound.
+        No decaying grid point, flat density (a -> 0), or gamma stuck at
+        the lower bound.
     """
     if pdf.n_bins < 5:
         raise ValueError("least-squares fit needs at least 5 non-empty bins")
     xc = pdf.center
     y = np.log(pdf.density)
 
-    def residuals(p: np.ndarray) -> np.ndarray:
-        log_c, a, g = p
-        return y - (log_c - a * xc**g)
+    def sse(g: float) -> float:
+        return _lsq_fit(g, xc, y)[0]
 
-    best0: tuple[float, np.ndarray] | None = None
-    ones = np.ones_like(xc)
-    for g in np.linspace(GAMMA_BOUNDS[0], GAMMA_BOUNDS[1], 40):
-        design = np.column_stack([ones, -(xc**g)])
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        if coef[1] < 0:
-            continue
-        sse = float(np.sum((y - design @ coef) ** 2))
-        if best0 is None or sse < best0[0]:
-            best0 = (sse, np.array([coef[0], coef[1], g]))
-    if best0 is None:
+    grid = np.linspace(GAMMA_BOUNDS[0], GAMMA_BOUNDS[1], 40)
+    scan = [_lsq_fit(g, xc, y) for g in grid]
+    decaying = [i for i, (_, coef) in enumerate(scan) if coef[1] > 0]
+    if not decaying:
         raise FitFailureError("no decaying start point found; density may be increasing")
-
-    res = optimize.least_squares(
-        residuals,
-        x0=best0[1],
-        bounds=([-np.inf, 0.0, GAMMA_BOUNDS[0]], [np.inf, np.inf, GAMMA_BOUNDS[1]]),
-    )
-    log_c, a, g = res.x
+    i = min(decaying, key=lambda j: scan[j][0])
+    g, _ = _bounded_min(sse, (float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)])))
+    log_c, a = map(float, _lsq_fit(g, xc, y)[1])
     decay = a * (float(xc[-1]) ** g - float(xc[0]) ** g)
     if a <= 1e-12 or decay <= 1e-6:
-        raise FitFailureError("flat density: a collapsed to 0", best=tuple(res.x))
+        raise FitFailureError("flat density: a collapsed to 0", best=(log_c, a, g))
     if g <= GAMMA_BOUNDS[0] + 1e-9:
-        raise FitFailureError("gamma stuck at the lower bound", best=tuple(res.x))
-    return SEModel(c=float(np.exp(log_c)), a=float(a), gamma=float(g), constrained=False)
+        raise FitFailureError("gamma stuck at the lower bound", best=(log_c, a, g))
+    return SEModel(c=float(np.exp(log_c)), a=a, gamma=g, constrained=False)
 
 
 @dataclass(frozen=True)

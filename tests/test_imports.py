@@ -1,10 +1,13 @@
-"""Every volint module uses each name it imports.
+"""Every volint module uses each name it imports, and the CLI imports no optimizer.
 
 A deleted code path should take its imports with it. ``__init__.py`` is
 exempt because its imports are the package's exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +63,14 @@ def test_string_annotation_counts_as_use():
     assert set(_imported(tree)) <= _used(tree)
     tree = ast.parse("from x import A\n")
     assert "A" not in _used(tree)
+
+
+def test_cli_import_skips_scipy_optimize():
+    # every analyze and synth process pays for what volint.cli imports
+    code = "import sys, volint.cli; print('scipy.optimize' in sys.modules)"
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

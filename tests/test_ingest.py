@@ -237,6 +237,24 @@ def test_minute_csv_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(rebuilt.prices, original.prices)
 
 
+def test_minute_csv_round_trip_through_midnight_close(tmp_path):
+    # the mark of a session closing at 24:00 is written as the next day's 00:00
+    cal = TradingCalendar(days=(date(2024, 1, 2), date(2024, 1, 3)), sessions=((1430, 1440),))
+    start = timegm((2024, 1, 2, 23, 50, 0))
+    ticks = [TickRecord(start + 60.0 * i, 100.0 + i) for i in range(11)]
+    ticks += [TickRecord(start + 86_400.0 + 60.0 * i, 200.0 + i) for i in range(11)]
+    original = sample_minutely(ticks, cal)
+    assert np.isfinite(original.prices).all()
+    path = tmp_path / "minutes.csv"
+    write_minute_csv(original, path)
+
+    lines = path.read_text().splitlines()
+    assert lines[10] == "2024-01-03T00:00:00,110.0"
+    assert lines[-1] == "2024-01-04T00:00:00,210.0"
+    rebuilt = sample_minutely(parse_ticks(path).records, cal)
+    np.testing.assert_array_equal(rebuilt.prices, original.prices)
+
+
 # A per-row reference parser: ``parse_ticks`` must match it bit for bit,
 # or raise the same exception type.
 def _ref_parse_timestamp(text: str) -> float:

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 from scipy.special import gammaincinv, gammaln
 
+import volint.semodel
 from volint import (
     FitFailureError,
     FitReport,
@@ -20,7 +22,8 @@ from volint import (
     normalization_c,
     se_cdf,
 )
-from volint.semodel import GAMMA_BOUNDS, _censored_nll
+from volint.intervals import scaled_pdf
+from volint.semodel import GAMMA_BOUNDS, _censored_nll, _minimize_bounded, _profile_nll
 
 PAIRS = [(2.0, 0.3), (5.79, 0.43), (14.2, 0.38), (26.0, 0.6), (1.0, 1.0)]
 
@@ -228,6 +231,68 @@ def test_fit_mle_censored_far_tail_stays_finite():
     assert 0.05 <= fitted.gamma <= 2.0
 
 
+def _profile_case():
+    log_x = np.log(SEModel.normalized(5.79, 0.43).sample(2_000, seed=0))
+    return _profile_nll, GAMMA_BOUNDS, (log_x - log_x.max(), float(log_x.max()))
+
+
+@pytest.mark.parametrize("xatol", [1e-5, 1e-10])
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: (lambda x: (x - 0.7) ** 2 + 1.0, (-2.0, 3.0), ()),
+        lambda: (np.exp, (0.5, 2.0), ()),  # the minimum sits on the lower bound
+        _profile_case,
+    ],
+    ids=["quadratic", "on_bound", "profile_nll"],
+)
+def test_bounded_minimiser_matches_scipy(case, xatol):
+    func, bounds, args = case()
+    ref = minimize_scalar(func, bounds=bounds, args=args, method="bounded", options={"xatol": xatol})
+    x, fun, nfev = _minimize_bounded(func, bounds, args, xatol=xatol)
+    assert np.float64(x).tobytes() == np.float64(ref.x).tobytes()
+    assert np.float64(fun).tobytes() == np.float64(ref.fun).tobytes()
+    assert nfev == ref.nfev
+
+
+def _lattice_cases():
+    rng = np.random.default_rng(8)
+    geometric = [rng.geometric(p, 20_000) for p in (0.25, 0.05)]
+    model = SEModel.normalized(14.2, 0.38)
+    x = model.sample(30_000, seed=0) / model.moment(1.0)
+    ceiled = [np.ceil(x * mean).astype(np.int64) for mean in (5.0, 20.0)]
+    rng = np.random.default_rng(1)
+    far_tail = np.append(rng.geometric(0.3, 2_000), 2_000)
+    return [IntervalSample(q=1.0, tau=t, source_length=1).scaled() for t in (*geometric, *ceiled, far_tail)]
+
+
+# (a, gamma) of the earlier three-start L-BFGS-B lattice fit on each _lattice_cases() sample
+_LBFGSB_FITS = [
+    (1.1190946842769876, 1.0224487522232764),
+    (1.0297576843268679, 0.9973328611791924),
+    (3.478898363058562, 0.3834744022778637),
+    (3.383613539407292, 0.38250177104933214),
+    (2.3927098046340234, 0.5939919803325057),
+]
+
+
+@pytest.mark.parametrize(
+    "i", range(len(_LBFGSB_FITS)), ids=["geom0.25", "geom0.05", "se_mean5", "se_mean20", "far_tail"]
+)
+def test_fit_mle_censored_optimum_and_start(i, monkeypatch):
+    sample = _lattice_cases()[i]
+    k, count = np.unique(np.rint(np.asarray(sample) / sample.step), return_counts=True)
+    fitted = fit_mle(sample)
+    nll = _censored_nll(np.array([fitted.a, fitted.gamma]), k, count, sample.step)
+    assert nll <= _censored_nll(np.array(_LBFGSB_FITS[i]), k, count, sample.step) + 1e-9
+
+    # the Newton start is a(gamma) of the continuous likelihood
+    profile_a = volint.semodel._profile_a
+    for factor in (1.01, 0.5):
+        monkeypatch.setattr(volint.semodel, "_profile_a", lambda g, xg, f=factor: f * profile_a(g, xg))
+        assert abs(fit_mle(sample).gamma - fitted.gamma) <= 1e-6
+
+
 def test_fit_mle_lattice_input_rules():
     x = IntervalSample(q=1.0, tau=np.arange(1, 61), source_length=1).scaled()
     assert x.step == 1.0 / 30.5
@@ -273,6 +338,23 @@ def test_fit_lsq_recovers_exact_density():
     assert abs(fitted.a / 14.2 - 1.0) < 1e-6
     assert abs(fitted.gamma / 0.38 - 1.0) < 1e-6
     assert not fitted.constrained
+
+
+def test_fit_lsq_not_worse_than_trust_region():
+    # a noisy log-binned table; (c, a, gamma) pinned from the earlier
+    # trust-region least_squares fit started at the best gamma grid point
+    model = SEModel.normalized(14.2, 0.38)
+    x = model.sample(5_000, seed=3) / model.moment(1.0)
+    table = scaled_pdf(IntervalSample(q=1.0, tau=np.ceil(x * 20).astype(np.int64), source_length=1), 10)
+    y = np.log(table.density)
+
+    def sse(c, a, gamma):
+        return float(np.sum((y - (np.log(c) - a * table.center**gamma)) ** 2))
+
+    fitted = fit_lsq(table)
+    assert sse(fitted.c, fitted.a, fitted.gamma) <= sse(
+        86.35726960932108, 5.929751917567875, 0.26051639235725993
+    )
 
 
 def test_fit_lsq_flat_density_fails():
