@@ -72,6 +72,18 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
         write_rows(fh, header, rows)
 
 
+def _write_volatility_csv(days: Sequence[str], v: NormVolSeries, path: Path) -> None:
+    """Write a volatility series as ``day,slot,v`` rows, ``days[i]`` naming day i.
+
+    One f-string per row writes the bytes ``write_rows`` would.
+    """
+    day = map(days.__getitem__, v.day.tolist())
+    rows = zip(day, v.slot.astype(np.int64, copy=False).tolist(), v.values.tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write("day,slot,v\n")
+        fh.writelines(f"{d},{s},{x!r}\n" for d, s, x in rows)
+
+
 def _write_json(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -155,10 +167,8 @@ def stage_volatility(cfg: RunConfig, ctx: dict) -> dict[str, Artifact]:
     v, pattern, sd = build_volatility(ms, cfg)
     ctx["series"] = v
     ctx["summary"]["volatility"] = {"n_points": len(v), "sd_deseasonalized": sd}
-    days = [d.isoformat() for d in ms.days]
-    day, slot = map(days.__getitem__, v.day.tolist()), v.slot.astype(np.int64, copy=False).tolist()
     return {
-        "volatility.csv": (["day", "slot", "v"], zip(day, slot, v.values.tolist())),
+        "volatility.csv": partial(_write_volatility_csv, [d.isoformat() for d in ms.days], v),
         "pattern.csv": (
             ["slot", "value", "count"],
             zip(pattern.slots.tolist(), pattern.values.tolist(), pattern.counts.tolist()),

@@ -13,12 +13,19 @@ root-moments
     mu_m = a**(-1/gamma) * (Gamma((m+1)/gamma) / Gamma(1/gamma))**(1/m)
 
 follow from the same substitution. gamma = 1 recovers the pure exponential.
+P is evaluated here, on numpy arrays: below u = s + 1 by its power series,
+above by Legendre's continued fraction for Q = 1 - P (the split of
+Numerical Recipes' ``gammp``), each to the depth its hardest argument needs.
 
 Scaled return intervals are whole minutes divided by <tau>, so they sit on
 a lattice with step h = 1 / <tau>. For such data ``fit_mle`` maximizes the
 interval-censored likelihood, in which tau = k means the continuous
 interval fell in ((k - 1) h, k h] (the discretised-Weibull idea of Nakagawa
-& Osaki 1975).
+& Osaki 1975). A cell's mass is P(1/gamma, a h**gamma) for the first cell and
+12-point Gauss-Legendre quadrature of the density for the others, which
+avoids the cancellation in a difference of two nearly equal survival values;
+a cell too wide in u for the rule takes that difference, which then cannot
+cancel.
 
 For continuous data the likelihood has a closed-form maximum in a at fixed
 gamma, a(gamma) = n / (gamma * sum(x**gamma)), so ``fit_mle`` maximizes the
@@ -30,17 +37,21 @@ least squares; all three searches run one bounded minimiser, Brent's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln
-from scipy.special import gamma as gamma_function
 
 from .errors import FitFailureError
 from .intervals import PdfTable
 
 GAMMA_BOUNDS = (0.05, 2.0)
+_EPS = float(np.finfo(np.float64).eps)
+# 12-point Gauss-Legendre rule on [-1, 1] for the lattice cell masses
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# a cell wider than this in u = a x**gamma is beyond the rule's accuracy
+_WIDE_CELL = 8.0
 
 
 def normalization_c(a: float, gamma: float) -> float:
@@ -61,7 +72,11 @@ def normalization_c(a: float, gamma: float) -> float:
         raise ValueError("a must be positive")
     if not 0 < gamma <= GAMMA_BOUNDS[1]:
         raise ValueError(f"gamma must be in (0, {GAMMA_BOUNDS[1]}]")
-    return float(gamma * a ** (1.0 / gamma) / gamma_function(1.0 / gamma))
+    try:
+        gamma_s = math.gamma(1.0 / gamma)
+    except OverflowError:  # 1/gamma beyond 171.6: c underflows to 0 and no model is valid
+        gamma_s = math.inf
+    return float(gamma * a ** (1.0 / gamma) / gamma_s)
 
 
 @dataclass(frozen=True)
@@ -116,7 +131,77 @@ def se_cdf(model: SEModel, x) -> np.ndarray:
     Only (a, gamma) enter; a free c is ignored. Negative x maps to 0.
     """
     x = np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-    return gammainc(1.0 / model.gamma, model.a * x**model.gamma)
+    return _gammainc(1.0 / model.gamma, model.a * x**model.gamma)
+
+
+def _log_series(s: float, u):
+    """log P(s, u) for u < s + 1, a float or an array, by the power series
+
+        P = u**s e**-u / Gamma(s + 1) * sum_n u**n / ((s + 1) ... (s + n)),
+
+    summed by Horner's rule with as many terms as the largest u needs.
+    """
+    u_max, n, term = float(np.max(u)), 0, 1.0
+    while term > _EPS:
+        n += 1
+        term *= u_max / (s + n)
+    total = 1.0
+    for j in range(n, 0, -1):
+        total *= u
+        total /= s + j
+        total += 1.0
+    with np.errstate(divide="ignore"):
+        return s * np.log(u) - u - math.lgamma(s + 1.0) + np.log(total)
+
+
+def _log_fraction(s: float, u):
+    """log Q(s, u) = log(1 - P(s, u)) for finite u >= s + 1, a float or an array.
+
+    Legendre's continued fraction
+
+        Q = u**s e**-u / Gamma(s) / (u + 1 - s + 1 (s - 1) / (u + 3 - s + 2 (s - 2) / ...))
+
+    is evaluated bottom up, as deep as the modified Lentz recurrence needs
+    to converge at the smallest u, where it converges slowest.
+    """
+    b = float(np.min(u)) + 1.0 - s
+    c, d = math.inf, 1.0 / b
+    for depth in range(1, 1000):
+        b += 2.0
+        d = 1.0 / (depth * (s - depth) * d + b)
+        c = b + depth * (s - depth) / c
+        if abs(c * d - 1.0) <= _EPS:
+            break
+    f = u + (2 * depth + 1 - s)
+    for j in range(depth, 0, -1):
+        f **= -1
+        f *= j * (s - j)
+        f += u
+        f += 2 * j - 1 - s
+    return s * np.log(u) - u - math.lgamma(s) - np.log(f)
+
+
+def _gammainc_logs(s: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(low, v) for an array u >= 0: v = log P(s, u) where ``low`` (u < s + 1), else log Q(s, u).
+
+    Both are taken in log space, so neither underflows; log Q is -inf at
+    u = inf, and NaN stays NaN.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    low = u < s + 1.0
+    v = np.where(np.isnan(u), np.nan, -np.inf)
+    if np.any(low):
+        v[low] = _log_series(s, u[low])
+    mid = ~low & (u < np.inf)
+    if np.any(mid):
+        v[mid] = _log_fraction(s, u[mid])
+    return low, v
+
+
+def _gammainc(s: float, u) -> np.ndarray:
+    """Regularized lower incomplete gamma function P(s, u) for u >= 0."""
+    low, v = _gammainc_logs(s, u)
+    return np.where(low, np.exp(v), -np.expm1(v))[()]
 
 
 def se_sample(model: SEModel, n: int, seed=None) -> np.ndarray:
@@ -149,7 +234,7 @@ def analytic_moment(model: SEModel, m: float) -> float:
     if m <= 0:
         raise ValueError("moment order must be positive")
     g = model.gamma
-    log_ratio = gammaln((m + 1.0) / g) - gammaln(1.0 / g)
+    log_ratio = math.lgamma((m + 1.0) / g) - math.lgamma(1.0 / g)
     return model.a ** (-1.0 / g) * float(np.exp(log_ratio / m))
 
 
@@ -177,7 +262,7 @@ def _profile_nll(g: float, shifted_log_x: np.ndarray, top: float) -> float:
     There a * sum(x**gamma) = n / gamma, so the likelihood needs only log a.
     """
     log_a = _profile_log_a(g, shifted_log_x, top)
-    return -len(shifted_log_x) * (np.log(g) + (log_a - 1.0) / g - gammaln(1.0 / g))
+    return -len(shifted_log_x) * (np.log(g) + (log_a - 1.0) / g - math.lgamma(1.0 / g))
 
 
 def _minimize_bounded(func, bounds, args, xatol):
@@ -271,39 +356,34 @@ def _bounded_min(func, bounds, args=()) -> tuple[float, float]:
     return min([(float(x), float(fx))] + [(b, func(b, *args)) for b in bounds], key=lambda t: t[1])
 
 
-def _log_sf(s: float, u: np.ndarray) -> np.ndarray:
-    """log Q(s, u) of the upper regularized incomplete gamma function.
-
-    Where Q underflows (u beyond about 700) the leading terms of its
-    large-u expansion, u**(s-1) e**-u (1 + (s-1)/u) / Gamma(s), take over.
-    """
-    q = gammaincc(s, u)
-    with np.errstate(divide="ignore"):
-        out = np.log(q)
-    tail = q < np.finfo(float).tiny
-    if np.any(tail):
-        ut = u[tail]
-        out[tail] = (s - 1.0) * np.log(ut) - ut - gammaln(s) + np.log1p((s - 1.0) / ut)
-    return out
-
-
 def _cell_log_p(a: float, g: float, k: np.ndarray, h: float):
     """log of the model's mass in each cell ((k-1) h, k h], and the edges u = a x**gamma.
 
+    The first cell holds P(1/gamma, a h**gamma). Any other cell holds c
+    times the integral of exp(-a x**gamma) over it, by Gauss-Legendre
+    quadrature, with each row's smallest u factored out so nothing
+    underflows. A cell wider than ``_WIDE_CELL`` in u takes the difference
+    of log Q at its edges instead: that difference cannot cancel, and the
+    quadrature would lose accuracy.
+
     Returns (log p, u at (k-1) h, u at k h).
     """
+    s = 1.0 / g
     u_lo = a * ((k - 1.0) * h) ** g
     u_hi = a * (k * h) ** g
-    log_lower = _log_sf(1.0 / g, u_lo)
-    log_upper = _log_sf(1.0 / g, u_hi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_p = log_lower + np.log(-np.expm1(log_upper - log_lower))
-    flat = ~np.isfinite(log_p)
-    if np.any(flat):
-        # the two survival values agree to rounding: density at the cell middle times h
-        mid = (k[flat] - 0.5) * h
-        log_c = np.log(g) + np.log(a) / g - gammaln(1.0 / g)
-        log_p[flat] = log_c - a * mid**g + np.log(h)
+    u = a * (((k - 0.5) * h)[:, None] + (0.5 * h) * _GL_NODES) ** g
+    u_min = u[:, 0]
+    log_ch = math.log(g) + math.log(a) / g - math.lgamma(s) + math.log(0.5 * h)
+    log_p = np.log(np.exp(u_min[:, None] - u) @ _GL_WEIGHTS) + log_ch - u_min
+    first = k == 1
+    for i in np.flatnonzero(first):  # k holds distinct cells, so at most one
+        u1 = float(u_hi[i])
+        log_p[i] = _log_series(s, u1) if u1 < s + 1.0 else math.log(-math.expm1(_log_fraction(s, u1)))
+    wide = (u_hi - u_lo > _WIDE_CELL) & ~first
+    if np.any(wide):
+        low, v = _gammainc_logs(s, np.concatenate([u_lo[wide], u_hi[wide]]))
+        log_lower, log_upper = np.split(np.where(low, np.log1p(-np.exp(v)), v), 2)
+        log_p[wide] = log_lower + np.log(-np.expm1(log_upper - log_lower))
     return log_p, u_lo, u_hi
 
 
@@ -334,7 +414,7 @@ def _censored_profile(g: float, k: np.ndarray, count: np.ndarray, h: float, t: f
         to ``_censored_nll`` at (exp(t), gamma).
     """
     s = 1.0 / g
-    log_gamma_s = gammaln(s)
+    log_gamma_s = math.lgamma(s)
     for _ in range(100):
         log_p, u_lo, u_hi = _cell_log_p(np.exp(t), g, k, h)
         with np.errstate(divide="ignore"):
@@ -409,7 +489,8 @@ def fit_mle(sample: np.ndarray) -> SEModel:
         Fewer than 50 values, any value <= 0, or values that are not
         multiples of their ``step``.
     FitFailureError
-        The optimum is not finite; carries the best iterate in ``best``.
+        The optimum is not finite, or lattice values all fall in one cell;
+        carries the best iterate in ``best`` when there is one.
     """
     step = getattr(sample, "step", None)
     x = np.asarray(sample, dtype=np.float64)
@@ -425,6 +506,8 @@ def fit_mle(sample: np.ndarray) -> SEModel:
     if np.any(np.abs(ratio - k) > 1e-6) or np.any(k < 1):
         raise ValueError("lattice values must be positive multiples of their step")
     k, count = np.unique(k, return_counts=True)
+    if len(k) < 2:
+        raise FitFailureError("all values in one lattice cell: the likelihood has no interior maximum")
     return _fit_censored(x, k, count, float(step))
 
 

@@ -21,7 +21,6 @@ from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .ingest import MinuteSeries, TradingCalendar, parse_ticks, sample_minutely, tick_days, write_minute_csv
 from .semodel import SEModel, analytic_moment, se_sample
@@ -153,14 +152,9 @@ def _gen_shuffled_prices(input_path: str, rng: np.random.Generator) -> MinuteSer
     )
 
 
-def _conditional_abs_normal(rng: np.random.Generator, size: int, cut: float, above: bool) -> np.ndarray:
-    """|z| draws conditioned above/below ``cut`` via the inverse CDF."""
-    f_cut = 2.0 * ndtr(cut) - 1.0
-    u = rng.uniform(f_cut if above else 0.0, 1.0 if above else f_cut, size=size)
-    return ndtri((u + 1.0) / 2.0)
-
-
 def _gen_se_prices(spec: SynthSpec, rng: np.random.Generator) -> MinuteSeries:
+    from scipy.special import ndtr, ndtri  # only this kind needs the normal quantile
+
     a = float(spec.params.get("a", 14.2))
     gamma = float(spec.params.get("gamma", 0.38))
     q = float(spec.params.get("q", 3.0))
@@ -179,8 +173,10 @@ def _gen_se_prices(spec: SynthSpec, rng: np.random.Generator) -> MinuteSeries:
     pos = np.cumsum(gaps)
     pos = pos[pos < n_kept]
 
-    mags = _conditional_abs_normal(rng, n_kept, cut, above=False)
-    mags[pos] = _conditional_abs_normal(rng, len(pos), cut, above=True)
+    # |z| below the cut, then above it at the planted exceedances, by the inverse CDF
+    f_cut = 2.0 * ndtr(cut) - 1.0
+    mags = ndtri((rng.uniform(0.0, f_cut, size=n_kept) + 1.0) / 2.0)
+    mags[pos] = ndtri((rng.uniform(f_cut, 1.0, size=len(pos)) + 1.0) / 2.0)
 
     cal = TradingCalendar(days=_weekdays(n_days))
     kept = _kept_return_mask(n_days, cal.minutes_per_day)

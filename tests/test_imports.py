@@ -1,4 +1,4 @@
-"""Every volint module uses each name it imports, and the CLI imports no optimizer.
+"""Every volint module uses each name it imports, and the CLI imports no scipy.
 
 A deleted code path should take its imports with it. ``__init__.py`` is
 exempt because its imports are the package's exports.
@@ -65,12 +65,25 @@ def test_string_annotation_counts_as_use():
     assert "A" not in _used(tree)
 
 
-def test_cli_import_skips_scipy_optimize():
-    # every analyze and synth process pays for what volint.cli imports
-    code = "import sys, volint.cli; print('scipy.optimize' in sys.modules)"
+_SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+def test_cli_and_iid_synth_load_no_scipy(tmp_path):
+    # every analyze and synth process pays for what volint.cli imports; only
+    # synth --kind se_intervals needs scipy.special, for the normal quantile
+    code = "\n".join(
+        [
+            "import sys, volint.cli",
+            _SCIPY_LOADED,
+            "from volint.synth import SynthSpec, generate_minute_csv",
+            "spec = SynthSpec('iid_gaussian_abs', n=500, seed=1)",
+            f"generate_minute_csv(spec, {str(tmp_path / 't.csv')!r})",
+            _SCIPY_LOADED,
+        ]
+    )
     path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines() == ["[]", "[]"]

@@ -1,11 +1,15 @@
 """Full analysis pipeline: artifacts, summary, determinism, failure paths."""
 
+import io
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from volint import ConfigError, StageError, derive_seed, run_analyze, validate_config
+from volint.pipeline import _write_volatility_csv, write_rows
 
 ARTIFACTS = [
     "alpha.csv",
@@ -149,3 +153,19 @@ def test_failed_moments_stage_is_recorded(tmp_path, corpus_cfg):
 def test_missing_input_is_config_error():
     with pytest.raises(ConfigError):
         run_analyze(validate_config({}))
+
+
+def test_volatility_csv_bytes_match_write_rows(tmp_path):
+    # floats whose repr takes an exponent, all 17 digits or a trailing .0
+    values = np.array([0.0, 5e-324, 1e-300, 0.1, 1.0 / 3.0, 1e16, 123456789.0, 1.7976931348623157e308])
+    v = SimpleNamespace(
+        values=values,
+        day=np.array([0, 0, 0, 1, 1, 2, 2, 2]),
+        slot=np.array([570, 571, 779, 570, 900, 570, 899, 900], dtype=np.int16),
+    )
+    days = ["2004-01-05", "2004-01-06", "2004-01-07"]
+    _write_volatility_csv(days, v, tmp_path / "volatility.csv")
+    rows = ((days[d], int(s), float(x)) for d, s, x in zip(v.day, v.slot, v.values))
+    expected = io.StringIO()
+    write_rows(expected, ["day", "slot", "v"], rows)
+    assert (tmp_path / "volatility.csv").read_bytes() == expected.getvalue().encode()

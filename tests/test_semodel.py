@@ -1,12 +1,14 @@
 """Stretched-exponential density: closed forms against quadrature, fitting."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
-from scipy.special import gammaincinv, gammaln
+from scipy.special import gammainc, gammaincc, gammaincinv, gammaln
 
 import volint.semodel
 from volint import (
@@ -23,7 +25,15 @@ from volint import (
     se_cdf,
 )
 from volint.intervals import scaled_pdf
-from volint.semodel import GAMMA_BOUNDS, _censored_nll, _minimize_bounded, _profile_nll
+from volint.semodel import (
+    _WIDE_CELL,
+    GAMMA_BOUNDS,
+    _cell_log_p,
+    _censored_nll,
+    _gammainc,
+    _minimize_bounded,
+    _profile_nll,
+)
 
 PAIRS = [(2.0, 0.3), (5.79, 0.43), (14.2, 0.38), (26.0, 0.6), (1.0, 1.0)]
 
@@ -162,13 +172,14 @@ def _continuous_nll(a, g, x):
 
 
 def test_fit_mle_plain_array_unchanged():
-    # pinned from the profile-likelihood fit; the earlier three-start L-BFGS-B
-    # fit stopped at (5.781108669753378, 0.42514577142213195), which must not
-    # have the higher likelihood
+    # pinned from the profile-likelihood fit with math.lgamma (scipy's gammaln
+    # led Brent to (5.781109578966131, 0.42514563913233816)); the earlier
+    # three-start L-BFGS-B fit stopped at (5.781108669753378, 0.42514577142213195),
+    # which must not have the higher likelihood
     x = SEModel.normalized(5.79, 0.43).sample(2_000, seed=0)
     fitted = fit_mle(x)
-    np.testing.assert_allclose(fitted.a, 5.781109578966131, rtol=1e-12)
-    np.testing.assert_allclose(fitted.gamma, 0.42514563913233816, rtol=1e-12)
+    np.testing.assert_allclose(fitted.a, 5.781109579195026, rtol=1e-12)
+    np.testing.assert_allclose(fitted.gamma, 0.42514563907594427, rtol=1e-12)
     assert _continuous_nll(fitted.a, fitted.gamma, x) <= _continuous_nll(
         5.781108669753378, 0.42514577142213195, x
     )
@@ -384,6 +395,81 @@ def test_fit_lsq_needs_enough_bins():
     )
     with pytest.raises(ValueError):
         fit_lsq(small)
+
+
+def test_gammainc_matches_scipy():
+    u = np.concatenate([[0.0], np.logspace(-8, 3, 500), [np.inf]])
+    tiny = np.finfo(np.float64).tiny
+    for s in np.linspace(0.5, 50.0, 100):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _gammainc(s, u)
+        ref = gammainc(s, u)
+        assert got[0] == 0.0 and got[-1] == 1.0
+        normal = ref >= tiny
+        np.testing.assert_allclose(got[normal], ref[normal], rtol=1e-12, atol=0)
+        assert np.all(got[~normal] < tiny)  # underflowed in both
+
+
+def _scipy_cell_log_p(a, g, k, h):
+    """(log p, Q at the lower edge, Q at the upper edge) from scipy's survival function."""
+    q_lo = gammaincc(1.0 / g, a * ((k - 1.0) * h) ** g)
+    q_hi = gammaincc(1.0 / g, a * (k * h) ** g)
+    with np.errstate(divide="ignore"):
+        return np.log(q_lo - q_hi), q_lo, q_hi
+
+
+def _cell_log_p_error(a, g, k, h):
+    """(largest |log p - scipy's|, widths in u) over the cells scipy gets right."""
+    log_p, u_lo, u_hi = _cell_log_p(a, g, k, h)
+    assert np.all(np.isfinite(log_p)) and np.all(log_p <= 0.0)
+    ref, q_lo, q_hi = _scipy_cell_log_p(a, g, k, h)
+    # where the survival difference loses no more than one bit, and away
+    # from underflow, near which scipy's Q loses digits
+    usable = (q_hi <= 0.5 * q_lo) & (q_lo - q_hi > 1e-280)
+    return np.max(np.abs(log_p[usable] - ref[usable]), initial=0.0), (u_hi - u_lo)[usable]
+
+
+def test_cell_log_p_matches_scipy():
+    widths = []
+    for sample in _lattice_cases():  # the far-tail sample is the last
+        k = np.unique(np.rint(np.asarray(sample) / sample.step))
+        for g in np.linspace(*GAMMA_BOUNDS, 14):
+            for a in np.logspace(-2.0, 2.5, 10):
+                error, width = _cell_log_p_error(a, g, k, sample.step)
+                assert error <= 1e-10
+                widths.append(width)
+    # a second cell 1e3 wide in u whose Q is still far from underflow
+    for g in (1.5, 1.75, 2.0):
+        error, width = _cell_log_p_error(1e3 / (2.0**g - 1.0), g, np.arange(1.0, 4.0), 1.0)
+        assert error <= 1e-10
+        widths.append(width)
+    widths = np.concatenate(widths)
+    assert np.sum(widths > _WIDE_CELL) > 100 and np.isclose(widths.max(), 1e3)
+
+
+def test_cell_log_p_exponential_far_tail():
+    # gamma = 1 has the closed form p_k = exp(-a (k - 1) h) (1 - exp(-a h))
+    k = np.arange(1.0, 3_001.0)
+    for a, h in ((1.0, 0.01), (3.0, 0.3), (1000.0, 1.0)):
+        log_p = _cell_log_p(a, 1.0, k, h)[0]
+        exact = -a * (k - 1.0) * h + np.log(-np.expm1(-a * h))
+        np.testing.assert_allclose(log_p, exact, rtol=1e-13, atol=1e-12)
+
+
+def test_normalization_c_beyond_gamma_function_range():
+    # Gamma(1 / 0.004) overflows a double, so c rounds to 0 and no model is valid
+    assert normalization_c(1.0, 0.004) == 0.0
+    with pytest.raises(ValueError):
+        SEModel.normalized(1.0, 0.004)
+
+
+@pytest.mark.parametrize("minutes", [1, 3])
+def test_fit_mle_one_occupied_cell_fails(minutes):
+    # with every value in one cell the likelihood has no interior maximum
+    sample = IntervalSample(q=1.0, tau=np.full(60, minutes), source_length=60 * minutes)
+    with pytest.raises(FitFailureError):
+        fit_mle(sample.scaled())
 
 
 def test_quantile_grid_round_trips_through_cdf():
