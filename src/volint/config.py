@@ -46,7 +46,6 @@ class RunConfig:
     cross_day: bool = True
     overlap_counts: bool = True
     lattice: bool = True
-    tol_mean: float = 0.5
 
     @property
     def q_grid(self) -> np.ndarray:
@@ -93,7 +92,7 @@ def validate_config(raw: Mapping[str, Any] | None) -> RunConfig:
                 problems.append("thresholds must be distinct")
             values["thresholds"] = tuple(sorted(t))
 
-    for key, low in (("q_min", 0.0), ("q_step", 0.0), ("tol_mean", 0.0)):
+    for key, low in (("q_min", 0.0), ("q_step", 0.0)):
         if key in values:
             if not _is_number(values[key]) or values[key] <= low:
                 problems.append(f"{key} must be a number > {low:g}")

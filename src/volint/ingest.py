@@ -75,8 +75,8 @@ class TradingCalendar:
             prev_close = c
 
     @classmethod
-    def for_days(cls, days: Iterable[date], **kwargs) -> "TradingCalendar":
-        return cls(days=tuple(sorted(set(days))), **kwargs)
+    def for_days(cls, days: Iterable[date]) -> "TradingCalendar":
+        return cls(days=tuple(sorted(set(days))))
 
     @classmethod
     def from_json(cls, path: str | Path) -> "TradingCalendar":
@@ -199,7 +199,7 @@ def _parse_timestamp(text: str) -> float:
     return dt.timestamp()
 
 
-def parse_ticks(source: str | Path | IO[str], fmt: str = "csv") -> ParsedTicks:
+def parse_ticks(source: str | Path | IO[str]) -> ParsedTicks:
     """Read tick records from a CSV stream or path.
 
     Returns the valid records in input order, as the two columns of a
@@ -210,8 +210,6 @@ def parse_ticks(source: str | Path | IO[str], fmt: str = "csv") -> ParsedTicks:
     ``timestamp,price`` header is also a ``FormatError``. Blank lines, and
     lines whose fields are all blank, are ignored.
     """
-    if fmt != "csv":
-        raise FormatError(f"unsupported tick format: {fmt!r}")
     if hasattr(source, "read"):
         return _parse_tick_lines(source)
     with open(source, "r", newline="") as fh:

@@ -270,56 +270,50 @@ class ThresholdResult(NamedTuple):
     mean_interval: float
 
 
-def threshold_for_mean(
-    v, target: float, tol: float = 0.5, cross_day: bool = True
-) -> ThresholdResult:
-    """Find q whose mean interval is within ``tol`` of ``target`` by bisection.
+def threshold_for_mean(v, target: float, cross_day: bool = True) -> ThresholdResult:
+    """Distinct value of the series whose mean interval is nearest ``target``.
 
-    Returns the threshold and the achieved mean. If even the largest usable
-    threshold cannot reach the target, raises ``UnreachableTargetError``.
-    When the bracket collapses before the tolerance is met, the best
-    threshold seen is returned.
+    The candidates are the series' distinct values up to the third-largest;
+    candidate q keeps the points v > q, so the top one keeps the points at
+    or above the second-largest value. The mean interval is taken to rise
+    with q, and a bisection over the candidates finds the two that bracket
+    the target. Returns the nearer of them (the lower on a tie) and its
+    achieved mean. Above the top candidate's mean the top candidate is
+    returned, up to half a minute; a target more than half a minute above it
+    raises ``UnreachableTargetError``.
     """
     if target < 1.0:
         raise ValueError("target mean interval must be >= 1")
     values, _ = _series_values(v)
-
-    def mean_at(q: float) -> float | None:
-        try:
-            return extract_intervals(v, q, cross_day=cross_day).mean_interval
-        except InsufficientEventsError:
-            return None
-
     distinct = np.unique(values)
     if len(distinct) < 2:
         raise UnreachableTargetError("series is constant; no usable threshold")
-    q_top = float(np.nextafter(distinct[-2], -np.inf))
-    top_mean = mean_at(q_top)
-    if top_mean is None:
-        raise UnreachableTargetError("no threshold yields two exceedances")
-    if top_mean < target - tol:
-        raise UnreachableTargetError(
-            f"largest reachable mean interval is {top_mean:.3g}, below target {target:g}"
-        )
+    # with two distinct values the top candidate keeps every point
+    candidates = distinct[:-2] if len(distinct) > 2 else np.nextafter(distinct[:1], -np.inf)
 
-    best = ThresholdResult(q_top, top_mean)
-    if abs(top_mean - target) <= tol:
-        return best
-    lo, hi = 0.0, q_top
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        m = mean_at(mid)
-        if m is None:
-            hi = mid
-            continue
-        if abs(m - target) < abs(best.mean_interval - target):
-            best = ThresholdResult(mid, m)
-        if abs(m - target) <= tol:
-            return ThresholdResult(mid, m)
-        if m < target:
-            lo = mid
+    def at(i: int) -> ThresholdResult:
+        q = float(candidates[i])
+        return ThresholdResult(q, extract_intervals(v, q, cross_day=cross_day).mean_interval)
+
+    hi = len(candidates) - 1
+    try:
+        high = at(hi)
+    except InsufficientEventsError:
+        raise UnreachableTargetError("no threshold yields two exceedances") from None
+    if high.mean_interval < target - 0.5:
+        raise UnreachableTargetError(
+            f"largest reachable mean interval is {high.mean_interval:.3g}, below target {target:g}"
+        )
+    if high.mean_interval < target:
+        return high
+    lo, low = -1, None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        r = at(mid)
+        if r.mean_interval < target:
+            lo, low = mid, r
         else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-    return best
+            hi, high = mid, r
+    if low is None or high.mean_interval - target < target - low.mean_interval:
+        return high
+    return low

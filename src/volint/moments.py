@@ -253,27 +253,28 @@ def moment_vs_order(
     v,
     mean_targets: Sequence[float] = (10.0, 30.0, 100.0),
     m_grid: Sequence[float] | None = None,
-    tol: float = 0.5,
     cross_day: bool = True,
     lattice: bool = True,
 ) -> list[OrderCurve]:
     """Empirical and fitted-model root-moments across orders m.
 
-    For each target <tau>, finds the matching threshold, extracts intervals,
-    evaluates mu_m over ``m_grid`` (default 0.25 to 3 in steps of 0.25), and
-    fits the model by maximum likelihood for the analytic curve: the
-    interval-censored likelihood with ``lattice`` (default), the continuous
-    one on the plain scaled values otherwise. Every curve
-    passes through (1, 1) up to rounding. ``UnreachableTargetError``
-    propagates from the threshold search, ``ValueError`` from a fit on fewer
-    than 50 intervals.
+    For each target <tau>, takes the threshold whose mean interval is
+    nearest it (``threshold_for_mean``), extracts intervals, evaluates mu_m
+    over ``m_grid`` (default 0.25 to 3 in steps of 0.25), and fits the model
+    by maximum likelihood for the analytic curve: the interval-censored
+    likelihood with ``lattice`` (default), the continuous one on the plain
+    scaled values otherwise. Every empirical ``mu`` passes through (1, 1) up
+    to rounding. The lattice fit's ``mu_model`` does not: at m = 1 it is the
+    mean of the latent continuous intervals, about 1 - 1/(2<tau>).
+    ``UnreachableTargetError`` propagates from the threshold search,
+    ``ValueError`` from a fit on fewer than 50 intervals.
     """
     grid = np.arange(0.25, 3.0 + 1e-9, 0.25) if m_grid is None else np.asarray(m_grid, float)
     if np.any(grid <= 0):
         raise ValueError("moment orders must be positive")
     out = []
     for target in mean_targets:
-        q, achieved = threshold_for_mean(v, target, tol=tol, cross_day=cross_day)
+        q, achieved = threshold_for_mean(v, target, cross_day=cross_day)
         s = extract_intervals(v, q, cross_day=cross_day)
         x = s.scaled()
         model = fit_mle(x if lattice else np.asarray(x))

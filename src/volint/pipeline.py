@@ -248,7 +248,6 @@ def stage_order_curves(cfg: RunConfig, ctx: dict) -> dict[str, Artifact]:
         ctx["series"],
         cfg.mean_targets,
         cfg.order_grid,
-        tol=cfg.tol_mean,
         cross_day=cfg.cross_day,
         lattice=cfg.lattice,
     )

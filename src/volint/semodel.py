@@ -553,7 +553,9 @@ def fit_lsq(pdf: PdfTable) -> SEModel:
         Fewer than 5 non-empty bins.
     FitFailureError
         No decaying grid point, flat density (a -> 0), or gamma stuck at
-        the lower bound.
+        the lower bound. The fit stage does not catch it, so under
+        ``analyze`` one failed threshold ends the run with exit 4 and no
+        ``fits.csv``.
     """
     if pdf.n_bins < 5:
         raise ValueError("least-squares fit needs at least 5 non-empty bins")

@@ -242,6 +242,20 @@ def test_analyze_moments_failure_exits_4(tmp_path, corpus_cfg, capsys):
     assert (out / "fits.csv").is_file()
 
 
+def test_analyze_failed_lsq_fit_exits_4_without_fits(tmp_path, corpus_cfg, capsys):
+    # q = 5.25 keeps 37 intervals, whose log-binned density drives the
+    # least-squares gamma to its lower bound; one failed threshold ends the run
+    out = tmp_path / "o"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(corpus_cfg(out, thresholds=[2.0, 5.25], fit_mode="lsq")))
+    assert main(["analyze", "--config", str(cfg_path)]) == 4
+    assert "gamma stuck at the lower bound" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failed_stage"] == "fit"
+    assert not (out / "fits.csv").exists()
+    assert not (out / "fits.json").exists()
+
+
 def test_analyze_single_threshold_is_config_error(tmp_path, corpus_cfg, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(corpus_cfg(tmp_path / "o", thresholds=[3.0])))

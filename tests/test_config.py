@@ -1,9 +1,15 @@
 """Configuration validation and seed derivation."""
 
+import ast
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from volint import ConfigError, RunConfig, derive_seed, validate_config
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "volint"
 
 
 def test_empty_config_gives_defaults():
@@ -35,6 +41,7 @@ def test_all_problems_reported_at_once():
         "q_step": -1,
         "fit_mode": "banana",
         "mystery": 1,
+        "tol_mean": 0.5,
     }
     with pytest.raises(ConfigError) as err:
         validate_config(bad)
@@ -44,7 +51,8 @@ def test_all_problems_reported_at_once():
     assert "q_step" in text
     assert "fit_mode" in text
     assert "unknown key: mystery" in text
-    assert len(err.value.problems) == 5
+    assert "unknown key: tol_mean" in text
+    assert len(err.value.problems) == 6
 
 
 def test_n_boot_floor():
@@ -100,3 +108,30 @@ def test_derive_seed_separates_labels():
     seeds = {derive_seed(0, f"fit:q={q}") for q in range(100)}
     assert len(seeds) == 100
     assert all(0 <= s < 2**64 for s in seeds)
+
+
+def _attributes_read(tree: ast.Module) -> set[str]:
+    """Attribute names loaded anywhere in the module except inside ``validate_config``."""
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "validate_config":
+            skip |= {id(n) for n in ast.walk(node)}
+    return {
+        n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and id(n) not in skip
+    }
+
+
+def test_every_config_field_is_read():
+    # a knob whose reader was deleted should go with it, not linger as a no-op key
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        read |= _attributes_read(ast.parse(path.read_text(), filename=str(path)))
+    dead = [f.name for f in fields(RunConfig) if f.name not in read]
+    assert not dead, f"RunConfig fields no code reads: {dead}"
+
+
+def test_attributes_read_skips_validate_config():
+    tree = ast.parse("def validate_config(raw):\n    return raw.a\n\ndef f(cfg):\n    return cfg.b\n")
+    assert _attributes_read(tree) == {"b"}

@@ -13,6 +13,7 @@ from volint import (
     UnreachableTargetError,
     empirical_cdf,
     extract_intervals,
+    gen_iid_volatility,
     scaled_pdf,
     threshold_for_mean,
 )
@@ -175,6 +176,46 @@ def test_threshold_for_mean_validates_target(iid_series):
 def test_threshold_for_mean_unreachable(iid_series):
     with pytest.raises(UnreachableTargetError):
         threshold_for_mean(iid_series, 1e9)
+
+
+@pytest.mark.parametrize("cross_day", [True, False])
+def test_threshold_for_mean_is_nearest_of_bracketing_pair(cross_day):
+    v = gen_iid_volatility(3000, seed=7)
+    candidates = np.unique(v.values)[:-2]
+    means = np.array([extract_intervals(v, q, cross_day=cross_day).mean_interval for q in candidates])
+    for target in (2.0, 5.0, 8.0, 10.0, 20.0):
+        # the brute-force means cross each of these targets exactly once
+        (i,) = np.flatnonzero((means[:-1] < target) & (means[1:] >= target))
+        nearest = i if target - means[i] <= means[i + 1] - target else i + 1
+        assert threshold_for_mean(v, target, cross_day=cross_day) == (
+            candidates[nearest],
+            means[nearest],
+        )
+
+
+# candidate 1.0 keeps positions 0, 2, 4, 6, 8 (mean 2); the top candidate 2.0
+# keeps the values >= 3, at positions 0, 4, 8 (mean 4)
+LADDER = np.array([3.0, 1.0, 2.0, 1.0, 4.0, 1.0, 2.0, 1.0, 3.0])
+
+
+def test_threshold_for_mean_tie_takes_lower_q():
+    assert threshold_for_mean(LADDER, 3.0) == (1.0, 2.0)
+    assert threshold_for_mean(LADDER, 3.01) == (2.0, 4.0)
+
+
+def test_threshold_for_mean_top_candidate_up_to_half_a_minute():
+    for target in (4.2, 4.5):
+        result = threshold_for_mean(LADDER, target)
+        assert result == (2.0, 4.0)
+        assert list(extract_intervals(LADDER, result.q).tau) == [4, 4]
+    with pytest.raises(UnreachableTargetError, match="largest reachable mean interval is 4"):
+        threshold_for_mean(LADDER, 4.51)
+
+
+def test_threshold_for_mean_two_valued_series_keeps_every_point():
+    result = threshold_for_mean(np.array([1.0, 2.0, 1.0, 2.0]), 1.5)
+    assert result.mean_interval == 1.0
+    assert result.q < 1.0
 
 
 def test_threshold_for_mean_small_targets_exist(iid_series):
