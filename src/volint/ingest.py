@@ -20,6 +20,7 @@ from array import array
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
@@ -30,6 +31,13 @@ from .errors import EmptySeriesError, FormatError
 DEFAULT_SESSIONS = (("09:30", "11:30"), ("13:00", "15:00"))
 ALIGN_WINDOW_SECONDS = 30.0
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+_CHUNK_CHARS = 1 << 16  # the parser reads whole lines about this many characters at a time
+_ALIGN_DAYS = 32  # minute marks are aligned this many days at a time
+# a plain stamp is YYYY-MM-DDTHH:MM:SS, or the same with a space for the T
+_PLAIN_STAMP_LEN = 19
+_STAMP_DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18])
+_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])
+_DAYS_BEFORE_MONTH = np.concatenate(([0], np.cumsum(_DAYS_IN_MONTH[:-1])))
 
 
 @dataclass(frozen=True)
@@ -216,6 +224,96 @@ def parse_ticks(source: str | Path | IO[str]) -> ParsedTicks:
         return _parse_tick_lines(fh)
 
 
+def _plain_stamps(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds of naive plain stamps, one per row of the byte matrix ``raw``.
+
+    Also returns which rows are plain stamps that name a real date and time;
+    for those the seconds equal ``_parse_timestamp``'s, since both sum whole
+    seconds from ``date.toordinal``'s day count. Other rows get meaningless seconds.
+    """
+    d = raw[:, _STAMP_DIGITS] - np.uint8(ord("0"))  # a byte below '0' wraps above 9
+    year = d[:, :4].astype(np.int64) @ [1000, 100, 10, 1]
+    month, day, hour, minute, second = (d[:, 4:].reshape(-1, 5, 2).astype(np.int64) @ [10, 1]).T
+    month = np.minimum(month, 13)  # months 0 and 13 have no days, so no day fits them
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    ok = (
+        (d <= 9).all(axis=1)
+        & (raw[:, [4, 7, 13, 16]] == np.frombuffer(b"--::", np.uint8)).all(axis=1)
+        & ((raw[:, 10] == ord("T")) | (raw[:, 10] == ord(" ")))
+        & (year >= 1)
+        & (day >= 1)
+        & (day <= _DAYS_IN_MONTH[month] + ((month == 2) & leap))
+        & (hour <= 23)
+        & (minute <= 59)
+        & (second <= 59)
+    )
+    y = year - 1
+    ordinal = (
+        y * 365 + y // 4 - y // 100 + y // 400
+        + _DAYS_BEFORE_MONTH[month] + ((month > 2) & leap) + day
+    )
+    seconds = (ordinal - _EPOCH_ORDINAL) * 86_400 + hour * 3600 + minute * 60 + second
+    return seconds.astype(np.float64), ok
+
+
+def _chunk_columns(text: str, width: int) -> tuple[np.ndarray, array] | None:
+    """Timestamp and price columns of a chunk of whole lines that holds no quote.
+
+    Returns None, leaving the chunk to ``csv.reader``, unless every line
+    splits into the header's ``width`` fields exactly as ``csv.reader``
+    splits it (no NUL, no lone CR, no field near the reader's size limit)
+    and every price parses. Such a chunk has no blank line, so every line
+    lands in the columns, with a NaN stamp where the stamp does not parse.
+    """
+    if "\0" in text or len(text) >= csv.field_size_limit():
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    # ',', CR and LF never occur inside a multi-byte UTF-8 sequence
+    b = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    if (b[np.flatnonzero(b == ord("\r")) + 1] != ord("\n")).any():
+        return None
+    seps = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
+    # each line's separators are width - 1 commas and then its newline
+    newline = b[seps] == ord("\n")
+    line_pattern = np.arange(width) == width - 1
+    if len(seps) % width or not (newline.reshape(-1, width) == line_pattern).all():
+        return None
+    n = len(seps) // width
+    # a CRLF leaves its CR on the last field, which is never the stamp; float() strips it
+    fields = text[:-1].replace("\n", ",").split(",")
+    try:
+        prices = array("d", map(float, fields[1::width]))
+    except ValueError:
+        return None
+
+    starts = np.concatenate(([0], seps[width - 1 :: width][:-1] + 1))
+    plain = np.flatnonzero(seps[::width] - starts == _PLAIN_STAMP_LEN)
+    seconds, ok = _plain_stamps(b[starts[plain, None] + np.arange(_PLAIN_STAMP_LEN)])
+    ts = np.full(n, np.nan)
+    ts[plain[ok]] = seconds[ok]
+    stamps = fields[::width]
+    for i in np.flatnonzero(np.isnan(ts)).tolist():  # every other stamp
+        try:
+            ts[i] = _parse_timestamp(stamps[i].strip())
+        except (ValueError, OverflowError):
+            pass  # stays NaN
+    return ts, prices
+
+
+def _append_rows(rows: Iterable[list[str]], ts_col: array, px_col: array) -> None:
+    # every non-blank line lands in the columns; one that fails to parse is NaN
+    for row in rows:
+        try:
+            ts, price = _parse_timestamp(row[0].strip()), float(row[1])
+        except (IndexError, ValueError, OverflowError):
+            if not any(cell.strip() for cell in row):
+                continue
+            ts = price = math.nan
+        ts_col.append(ts)
+        px_col.append(price)
+
+
 def _parse_tick_lines(fh: IO[str]) -> ParsedTicks:
     reader = csv.reader(fh)
     header = None
@@ -226,17 +324,19 @@ def _parse_tick_lines(fh: IO[str]) -> ParsedTicks:
     if header is None or header[:2] != ["timestamp", "price"]:
         raise FormatError("tick CSV must start with a 'timestamp,price' header")
 
-    # every non-blank line lands in the columns; one that fails to parse is NaN
     ts_col, px_col = array("d"), array("d")
-    for row in reader:
-        try:
-            ts, price = _parse_timestamp(row[0].strip()), float(row[1])
-        except (IndexError, ValueError, OverflowError):
-            if not any(cell.strip() for cell in row):
-                continue
-            ts = price = math.nan
-        ts_col.append(ts)
-        px_col.append(price)
+    while lines := fh.readlines(_CHUNK_CHARS):
+        text = "".join(lines)
+        if '"' in text:
+            # a quoted field may run into later chunks, so one reader takes the rest
+            _append_rows(csv.reader(chain(lines, fh)), ts_col, px_col)
+            break
+        columns = _chunk_columns(text, len(header))
+        if columns is None:
+            _append_rows(csv.reader(lines), ts_col, px_col)
+        else:
+            ts_col.frombytes(columns[0].tobytes())
+            px_col.extend(columns[1])
 
     ts, px = np.frombuffer(ts_col), np.frombuffer(px_col)
     valid = np.isfinite(ts) & np.isfinite(px) & (px > 0)
@@ -262,6 +362,20 @@ def tick_days(ticks: Ticks | Iterable[TickRecord], utc_offset_minutes: int = 0) 
     return tuple(date(1970, 1, 1) + timedelta(days=int(d)) for d in day_numbers)
 
 
+def _nearest_prices(wall: np.ndarray, px: np.ndarray, marks: np.ndarray) -> np.ndarray:
+    """Price of the nearest tick within the window of each mark, the earlier on a tie; else NaN."""
+    j = np.searchsorted(wall, marks)
+    left = j - 1
+    right = np.minimum(j, len(wall) - 1)
+    d_left = np.where(left >= 0, marks - wall[np.maximum(left, 0)], np.inf)
+    d_right = np.where(j < len(wall), wall[right] - marks, np.inf)
+
+    use_left = d_left <= d_right
+    dist = np.where(use_left, d_left, d_right)
+    idx = np.where(use_left, np.maximum(left, 0), right)
+    return np.where(dist <= ALIGN_WINDOW_SECONDS, px[idx], np.nan)
+
+
 def sample_minutely(ticks: Ticks | Iterable[TickRecord], cal: TradingCalendar) -> MinuteSeries:
     """Align ``Ticks`` or ``TickRecord``s to the calendar's minute marks.
 
@@ -277,18 +391,12 @@ def sample_minutely(ticks: Ticks | Iterable[TickRecord], cal: TradingCalendar) -
         raise ValueError("ticks must be sorted by timestamp")
 
     slots = cal.slots
-    marks = (cal.day_epochs()[:, None] + slots[None, :] * 60.0).ravel()
-    j = np.searchsorted(wall, marks)
-    left = j - 1
-    right = np.minimum(j, len(wall) - 1)
-    d_left = np.where(left >= 0, marks - wall[np.maximum(left, 0)], np.inf)
-    d_right = np.where(j < len(wall), wall[right] - marks, np.inf)
-
-    use_left = d_left <= d_right
-    dist = np.where(use_left, d_left, d_right)
-    idx = np.where(use_left, np.maximum(left, 0), right)
-    prices = np.where(dist <= ALIGN_WINDOW_SECONDS, px[idx], np.nan)
-    prices = prices.reshape(len(cal.days), len(slots))
+    offsets = slots * 60.0
+    day_epochs = cal.day_epochs()
+    prices = np.empty((len(day_epochs), len(slots)))
+    for a in range(0, len(day_epochs), _ALIGN_DAYS):
+        marks = day_epochs[a : a + _ALIGN_DAYS, None] + offsets
+        prices[a : a + _ALIGN_DAYS] = _nearest_prices(wall, px, marks)
     if not np.isfinite(prices).any():
         raise EmptySeriesError("no ticks within the alignment window of any minute mark")
     return MinuteSeries(

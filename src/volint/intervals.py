@@ -275,12 +275,13 @@ def threshold_for_mean(v, target: float, cross_day: bool = True) -> ThresholdRes
 
     The candidates are the series' distinct values up to the third-largest;
     candidate q keeps the points v > q, so the top one keeps the points at
-    or above the second-largest value. The mean interval is taken to rise
-    with q, and a bisection over the candidates finds the two that bracket
-    the target. Returns the nearer of them (the lower on a tie) and its
-    achieved mean. Above the top candidate's mean the top candidate is
-    returned, up to half a minute; a target more than half a minute above it
-    raises ``UnreachableTargetError``.
+    or above the second-largest value. With ``cross_day=False`` the top
+    candidate is instead the highest that still yields a same-day interval.
+    The mean interval is taken to rise with q, and a bisection over the
+    candidates finds the two that bracket the target. Returns the nearer of
+    them (the lower on a tie) and its achieved mean. Above the top
+    candidate's mean the top candidate is returned, up to half a minute; a
+    target more than half a minute above it raises ``UnreachableTargetError``.
     """
     if target < 1.0:
         raise ValueError("target mean interval must be >= 1")
@@ -291,15 +292,29 @@ def threshold_for_mean(v, target: float, cross_day: bool = True) -> ThresholdRes
     # with two distinct values the top candidate keeps every point
     candidates = distinct[:-2] if len(distinct) > 2 else np.nextafter(distinct[:1], -np.inf)
 
-    def at(i: int) -> ThresholdResult:
+    def at(i: int) -> ThresholdResult | None:
         q = float(candidates[i])
-        return ThresholdResult(q, extract_intervals(v, q, cross_day=cross_day).mean_interval)
+        try:
+            return ThresholdResult(q, extract_intervals(v, q, cross_day=cross_day).mean_interval)
+        except InsufficientEventsError:
+            return None
 
     hi = len(candidates) - 1
-    try:
-        high = at(hi)
-    except InsufficientEventsError:
-        raise UnreachableTargetError("no threshold yields two exceedances") from None
+    high = at(hi)
+    if high is None:
+        # every point between two same-day exceedances lies on that day, so a
+        # candidate with an interval has one below it too: bisect for the highest
+        lo = -1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            r = at(mid)
+            if r is None:
+                hi = mid
+            else:
+                lo, high = mid, r
+        if high is None:
+            raise UnreachableTargetError("no threshold yields two exceedances")
+        hi = lo
     if high.mean_interval < target - 0.5:
         raise UnreachableTargetError(
             f"largest reachable mean interval is {high.mean_interval:.3g}, below target {target:g}"

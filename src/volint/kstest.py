@@ -161,15 +161,23 @@ def _scaled(sample) -> np.ndarray:
     return np.asarray(sample, dtype=np.float64)
 
 
-def _sorted_cdf_ks(f: np.ndarray) -> float:
+def _ks_steps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The empirical CDF of n sorted points at and just below each point: i/n and (i-1)/n."""
+    i = np.arange(1, n + 1)
+    return i / n, (i - 1) / n
+
+
+def _sorted_cdf_ks(f: np.ndarray, steps: tuple[np.ndarray, np.ndarray] | None = None) -> float:
     """sup |F_n - F| from the model CDF values f at the sorted sample points.
 
     Checked at both sides of each step of the empirical CDF, where the sup
-    of a continuous F against a step function is attained.
+    of a continuous F against a step function is attained. As i/n - f >=
+    (i-1)/n - f, the larger of the two gaps' absolute values is the larger of
+    i/n - f and f - (i-1)/n. ``steps`` is ``_ks_steps(len(f))``, built once
+    by callers that score many samples of one size.
     """
-    n = len(f)
-    i = np.arange(1, n + 1)
-    return float(np.max(np.maximum(np.abs(i / n - f), np.abs((i - 1) / n - f))))
+    upper, lower = steps or _ks_steps(len(f))
+    return float(np.maximum((upper - f).max(), (f - lower).max()))
 
 
 def one_sample_ks(sample, model: SEModel) -> float:
@@ -222,11 +230,12 @@ def bootstrap_pvalue(
     n = len(x)
     ks_obs = one_sample_ks(x, model)
 
+    steps = _ks_steps(n)
     n_failed = n_exceed = 0
     for child in np.random.SeedSequence(seed).spawn(n_boot):
         rng = np.random.default_rng(child)
         if not refit:
-            n_exceed += _sorted_cdf_ks(np.sort(rng.random(n))) > ks_obs
+            n_exceed += _sorted_cdf_ks(np.sort(rng.random(n)), steps) > ks_obs
             continue
         draw = se_sample(model, n, rng)
         try:

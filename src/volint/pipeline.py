@@ -75,13 +75,16 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
 def _write_volatility_csv(days: Sequence[str], v: NormVolSeries, path: Path) -> None:
     """Write a volatility series as ``day,slot,v`` rows, ``days[i]`` naming day i.
 
-    One f-string per row writes the bytes ``write_rows`` would.
+    One f-string per row writes the bytes ``write_rows`` would. The series
+    is written a run of equal day labels at a time.
     """
-    day = map(days.__getitem__, v.day.tolist())
-    rows = zip(day, v.slot.astype(np.int64, copy=False).tolist(), v.values.tolist())
+    bounds = np.flatnonzero(np.diff(v.day)) + 1
     with open(path, "w", newline="") as fh:
         fh.write("day,slot,v\n")
-        fh.writelines(f"{d},{s},{x!r}\n" for d, s, x in rows)
+        for a, b in zip([0, *bounds.tolist()], [*bounds.tolist(), len(v.day)]):
+            d = days[v.day[a]]
+            rows = zip(v.slot[a:b].astype(np.int64, copy=False).tolist(), v.values[a:b].tolist())
+            fh.writelines(f"{d},{s},{x!r}\n" for s, x in rows)
 
 
 def _write_json(obj, path: Path) -> None:

@@ -5,11 +5,11 @@ import io
 import math
 import tracemalloc
 from calendar import timegm
-from datetime import date, datetime
+from datetime import date, datetime, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from volint import (
@@ -21,12 +21,18 @@ from volint import (
     TickRecord,
     Ticks,
     TradingCalendar,
+    compute_volatility,
+    deseasonalize,
     generate_minute_csv,
+    intraday_pattern,
+    normalize,
     parse_ticks,
     sample_minutely,
     tick_days,
     write_minute_csv,
 )
+from volint.ingest import _CHUNK_CHARS
+from volint.pipeline import _write_volatility_csv
 
 DAY = date(2004, 1, 5)
 
@@ -346,6 +352,93 @@ def _bodies(draw):
     return "timestamp,price\n" + "\n".join(draw(st.permutations(lines))) + "\n"
 
 
+# Bodies of several parse chunks. Every good line has the same length, so
+# where a chunk ends does not depend on what the line says.
+def _long_lines(n=6000):
+    stamps = (datetime.fromtimestamp(1073295000 + i, timezone.utc) for i in range(n))
+    return [f"{t:%Y-%m-%dT%H:%M:%S},{100 + i % 997 / 1000:.3f}" for i, t in enumerate(stamps)]
+
+
+def _long_body(lines, eol="\n"):
+    return "timestamp,price" + eol + eol.join(lines) + eol
+
+
+def _with_lines_at(at, odd, eol="\n"):
+    lines = _long_lines()
+    lines[at:at] = odd
+    return _long_body(lines, eol)
+
+
+def _mixed_endings():
+    lines = _long_lines()
+    lines[2500:2500] = ["x,1", "2004-02-30T09:30:00,1.5", ",,"]
+    eols = ("\n", "\r\n", "\r\n")
+    return "timestamp,price\r\n" + "".join(line + eols[i % 3] for i, line in enumerate(lines))
+
+
+def _quote_across_chunks(eol="\n"):
+    """A body whose first quote opens a stamp field that runs into the third chunk."""
+    lines = _long_lines()
+    fh = io.StringIO(_long_body(lines, eol))
+    fh.readline()
+    last = len(fh.readlines(_CHUNK_CHARS)) + len(fh.readlines(_CHUNK_CHARS)) - 1
+    stamp, price = lines[last].split(",")
+    # the opening line keeps the length of the line it replaces, so the chunk still ends there
+    lines[last] = f'"{stamp}{" " * len(price)}{eol}",{price}'
+    return _long_body(lines, eol)
+
+
+_ODD_LINES = ["x,1", " , ", "", "2004-02-30T09:30:00,1.5", "a,b,c", "2004-01-05T09:30:00,-1"]
+_LONG_BODIES = [
+    _with_lines_at(2500, _ODD_LINES),
+    _with_lines_at(2500, _ODD_LINES, eol="\r\n"),
+    _with_lines_at(5000, ["2004-01-05T10:00:00,nan", "y"], eol="\r\n"),
+    _mixed_endings(),
+    _with_lines_at(2500, ["2004-01-05T10:00:00,1.5\r2004-01-05T10:00:01,1.5"]),  # a lone CR
+    _with_lines_at(2500, ['"2004-01-05T10:00:00\n",1.5', '2004-01-05T10:00:01,"1.\n5"']),
+    _quote_across_chunks(),
+    _quote_across_chunks("\r\n"),
+]
+
+# stamps around the plain YYYY-MM-DDTHH:MM:SS form, each between good lines
+_EDGE_STAMPS = [
+    "2004-02-30T10:00:00",
+    "2000-02-29T10:00:00",
+    "1900-02-29T10:00:00",
+    "2004-02-29 10:00:00",
+    "2004-13-01T10:00:00",
+    "2004-00-01T10:00:00",
+    "2004-01-00T10:00:00",
+    "2004-04-31T10:00:00",
+    "2004-01-05T24:00:00",
+    "2004-01-05T10:60:00",
+    "2004-01-05T10:00:60",
+    "0000-01-01T00:00:00",
+    "0001-01-01T00:00:00",
+    "9999-12-31T23:59:59",
+    "2004-01-05 10:00:00",
+    "2004-01-05T10:00:00 ",
+    "2004-01-05t10:00:00",
+    "2004/01/05T10:00:00",
+    "\uff12\uff10\uff10\uff14-01-05T10:00:00",
+    "2004-01-05T1\u0660:00:00",
+]
+
+
+def _edge_body(stamp):
+    return f"timestamp,price\n2004-01-05T09:30:00,1.0\n{stamp},2.0\n2004-01-05T09:30:01,3.0\n"
+
+
+def _examples(bodies):
+    def add(test):
+        for body in reversed(bodies):
+            test = example(body)(test)
+        return test
+
+    return add
+
+
+@_examples(_LONG_BODIES + [_edge_body(s) for s in _EDGE_STAMPS])
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_bodies())
 def test_parse_matches_per_row_reference(text):
@@ -465,3 +558,30 @@ def test_parse_memory_is_column_sized(corpus_140k):
 def test_minute_writer_streams_by_day(corpus_140k, tmp_path):
     _, ms = corpus_140k
     assert _peak_mib(write_minute_csv, ms, tmp_path / "minutes.csv") < 4
+
+
+@pytest.mark.parametrize("text", _LONG_BODIES[:6], ids=["lf", "crlf", "late", "mixed", "lone-cr", "quoted"])
+def test_parse_file_matches_reference(tmp_path, text):
+    # a file is read with newline="", so a lone CR ends a line there
+    path = tmp_path / "ticks.csv"
+    path.write_bytes(text.encode())
+    with open(path, newline="") as fh:
+        expected = _ref_parse_tick_lines(fh)
+    got = parse_ticks(path)
+    assert got.skipped == expected.skipped
+    assert list(got.records) == expected.records
+
+
+def test_alignment_memory_is_block_sized(corpus_140k):
+    # aligning all 140k marks at once held ten full-length temporaries, 12 MiB
+    path, _ = corpus_140k
+    ticks = parse_ticks(path).records
+    assert _peak_mib(sample_minutely, ticks, TradingCalendar.for_days(tick_days(ticks))) < 6
+
+
+def test_volatility_writer_streams_by_day(corpus_140k, tmp_path):
+    _, ms = corpus_140k
+    raw = compute_volatility(ms)
+    v = normalize(deseasonalize(raw, intraday_pattern(raw)))
+    days = [d.isoformat() for d in ms.days]
+    assert _peak_mib(_write_volatility_csv, days, v, tmp_path / "volatility.csv") < 4

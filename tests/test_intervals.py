@@ -223,3 +223,27 @@ def test_threshold_for_mean_small_targets_exist(iid_series):
     for target in (10.0, 30.0, 100.0):
         result = threshold_for_mean(iid_series, target)
         assert abs(result.mean_interval - target) <= 0.5
+
+
+def _two_days(raw, day):
+    return NormVolSeries(values=raw / np.std(raw), day=np.array(day), slot=np.arange(571, 571 + len(raw)))
+
+
+def test_threshold_for_mean_same_day_top_candidate():
+    # the two largest values fall on different days, so with cross_day=False the
+    # top candidate is the next one down, q = 2, whose one same-day interval is 3
+    v = _two_days(np.array([9.0, 1, 1, 3, 1, 2, 1, 8, 2, 1, 1, 1]), [0] * 6 + [1] * 6)
+    q1, q2 = v.values[1], v.values[5]
+    assert threshold_for_mean(v, 3.0, cross_day=False) == (q2, 3.0)
+    assert threshold_for_mean(v, 3.5, cross_day=False) == (q2, 3.0)
+    assert threshold_for_mean(v, 2.4, cross_day=False) == (q1, 2.0)
+    with pytest.raises(UnreachableTargetError, match="largest reachable mean interval is 3"):
+        threshold_for_mean(v, 3.6, cross_day=False)
+    # across days the top candidate keeps the interval between the two largest
+    assert threshold_for_mean(v, 7.0) == (v.values[3], 7.0)
+
+
+def test_threshold_for_mean_no_same_day_interval():
+    v = _two_days(np.array([3.0, 1.0, 2.0]), [0, 1, 2])
+    with pytest.raises(UnreachableTargetError, match="no threshold yields two exceedances"):
+        threshold_for_mean(v, 1.0, cross_day=False)
