@@ -271,15 +271,20 @@ class ThresholdResult(NamedTuple):
 
 
 def threshold_for_mean(v, target: float, cross_day: bool = True) -> ThresholdResult:
-    """Distinct value of the series whose mean interval is nearest ``target``.
+    """Distinct value of the series whose mean interval is near ``target``.
 
     The candidates are the series' distinct values up to the third-largest;
     candidate q keeps the points v > q, so the top one keeps the points at
     or above the second-largest value. With ``cross_day=False`` the top
     candidate is instead the highest that still yields a same-day interval.
     The mean interval is taken to rise with q, and a bisection over the
-    candidates finds the two that bracket the target. Returns the nearer of
-    them (the lower on a tie) and its achieved mean. Above the top
+    candidates finds two neighbours that bracket the target. Returns the
+    nearer of them (the lower on a tie) and its achieved mean. The mean
+    interval is not monotone near the top candidates, where it can rise
+    through the target at several pairs (three for target 15 on
+    ``gen_iid_volatility(3000, seed=7)`` with ``cross_day=False``), so the
+    bisection lands on one of them and another candidate can lie nearer
+    the target. Above the top
     candidate's mean the top candidate is returned, up to half a minute; a
     target more than half a minute above it raises ``UnreachableTargetError``.
     """

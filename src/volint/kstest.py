@@ -180,6 +180,43 @@ def _sorted_cdf_ks(f: np.ndarray, steps: tuple[np.ndarray, np.ndarray] | None = 
     return float(np.maximum((upper - f).max(), (f - lower).max()))
 
 
+# F evaluated on a subset of the points can differ from its values on the
+# whole sorted sample in the last few ulps; a gap this close to d is decided
+# on the whole sample
+_KS_TIE = 1e-12
+
+
+def _ks_exceeds(x_sorted: np.ndarray, model: SEModel, d: float, steps: tuple[np.ndarray, np.ndarray]) -> bool:
+    """Whether ``one_sample_ks(x_sorted, model) > d``, with F evaluated only where needed.
+
+    F is evaluated at block ends e_j every w = max(1, floor(d n / 4)) points
+    and at the last point; a gap above d there decides at once. F is
+    monotone, so no point of the block [e_j, e_j+1] has a gap above
+    max(upper[e_j+1] - F(e_j), F(e_j+1) - lower[e_j]), which exceeds the
+    larger gap at its two ends by at most w / n <= d / 4. Only the blocks
+    whose bound exceeds d are scored in full, all in one batch. ``steps`` is
+    ``_ks_steps(len(x_sorted))``; a distance never exceeds 1, so neither
+    does the d that sets w.
+    """
+    upper, lower = steps
+    n = len(x_sorted)
+    w = max(1, int(min(d, 1.0) * n / 4))
+    ends = np.append(np.arange(0, n - 1, w), n - 1)
+    f = se_cdf(model, x_sorted[ends])
+    stat = _sorted_cdf_ks(f, (upper[ends], lower[ends]))
+    if stat > d + _KS_TIE:
+        return True
+    bound = np.maximum(upper[ends[1:]] - f[:-1], f[1:] - lower[ends[:-1]])
+    start = ends[:-1][bound > d - _KS_TIE] + 1
+    inner = (start[:, None] + np.arange(w - 1)).ravel()
+    inner = inner[inner < n - 1]
+    if len(inner):
+        stat = max(stat, _sorted_cdf_ks(se_cdf(model, x_sorted[inner]), (upper[inner], lower[inner])))
+    if abs(stat - d) <= _KS_TIE:
+        return one_sample_ks(x_sorted, model) > d
+    return stat > d
+
+
 def one_sample_ks(sample, model: SEModel) -> float:
     """sup_x |F_n(x) - F(x)| against the model CDF, checked at both step sides.
 
@@ -217,7 +254,11 @@ def bootstrap_pvalue(
     has exactly the law of a drawn-and-scored replicate, with no model
     sample or CDF evaluated. With ``refit=True`` every replicate is drawn
     from the model, refitted and compared against its own fit, and
-    replicates whose refit fails are dropped and counted.
+    replicates whose refit fails are dropped and counted. Only whether a
+    replicate's distance exceeds the observed one ``ks`` counts, so its
+    fit's CDF is evaluated at every (ks n / 4)-th sorted point, and in full
+    only in the blocks where a bound from those points cannot decide
+    (``_ks_exceeds``).
 
     Replicate RNGs are spawned from ``numpy.random.SeedSequence(seed)``, so
     a fixed seed reproduces the p-value and replicates are independent of
@@ -243,7 +284,7 @@ def bootstrap_pvalue(
         except (FitFailureError, ValueError):
             n_failed += 1
             continue
-        n_exceed += one_sample_ks(draw, fitted) > ks_obs
+        n_exceed += _ks_exceeds(np.sort(draw), fitted, ks_obs, steps)
 
     completed = n_boot - n_failed
     if completed == 0:

@@ -29,10 +29,12 @@ cancel.
 
 For continuous data the likelihood has a closed-form maximum in a at fixed
 gamma, a(gamma) = n / (gamma * sum(x**gamma)), so ``fit_mle`` maximizes the
-profile likelihood over gamma alone with one bounded scalar search. The
-censored likelihood and the least-squares fit are profiled over gamma the
-same way, with the inner maximum found by Newton's method and by linear
-least squares; all three searches run one bounded minimiser, Brent's.
+profile likelihood over gamma alone: its score in gamma is a closed form in
+the x**gamma-weighted moments of log x and in digamma and trigamma at
+1/gamma, and a safeguarded Newton search finds its root. The censored
+likelihood and the least-squares fit are profiled over gamma too, with the
+inner maximum found by Newton's method and by linear least squares, and
+both searches run one bounded minimiser, Brent's.
 """
 
 from __future__ import annotations
@@ -202,6 +204,32 @@ def _gammainc(s: float, u) -> np.ndarray:
     """Regularized lower incomplete gamma function P(s, u) for u >= 0."""
     low, v = _gammainc_logs(s, u)
     return np.where(low, np.exp(v), -np.expm1(v))[()]
+
+
+def digamma(x: float) -> float:
+    """psi(x) = d log Gamma(x) / dx for x > 0.
+
+    The recurrence psi(x) = psi(x + 1) - 1/x lifts x to 10 or more, where
+    the asymptotic series through x**-12 is accurate to about 1e-15.
+    """
+    shift = 0.0
+    while x < 10.0:
+        shift += 1.0 / x
+        x += 1.0
+    t = 1.0 / (x * x)
+    series = t * (1 / 12 - t * (1 / 120 - t * (1 / 252 - t * (1 / 240 - t * (1 / 132 - t * 691 / 32760)))))
+    return math.log(x) - 0.5 / x - series - shift
+
+
+def trigamma(x: float) -> float:
+    """psi'(x) for x > 0: psi'(x) = psi'(x + 1) + 1/x**2 up to x >= 10, then the series through x**-15."""
+    shift = 0.0
+    while x < 10.0:
+        shift += 1.0 / (x * x)
+        x += 1.0
+    t = 1.0 / (x * x)
+    series = t * (1 / 6 - t * (1 / 30 - t * (1 / 42 - t * (1 / 30 - t * (5 / 66 - t * (691 / 2730 - t * 7 / 6))))))
+    return 1.0 / x + 0.5 * t + series / x + shift
 
 
 def se_sample(model: SEModel, n: int, seed=None) -> np.ndarray:
@@ -461,16 +489,17 @@ def fit_mle(sample: np.ndarray) -> SEModel:
 
     For a plain array, maximizes the continuous likelihood
     sum(log(c * exp(-a * x**gamma))) through its profile in gamma: at fixed
-    gamma the best a is a(gamma) = n / (gamma * sum(x**gamma)), so one
-    bounded scalar search over gamma in [0.05, 2] (bounds included) finds
-    the optimum. For lattice input, an array that carries a ``step`` h such
-    as ``IntervalSample.scaled()`` returns, each value x = k h counts as a
+    gamma the best a is a(gamma) = n / (gamma * sum(x**gamma)), so the
+    optimum over gamma in [0.05, 2] is a root of the profile score, found
+    by safeguarded Newton, or a bound where the likelihood is higher. For
+    lattice input, an array that carries a ``step`` h such as
+    ``IntervalSample.scaled()`` returns, each value x = k h counts as a
     continuous value censored to ((k-1) h, k h] and the likelihood is
     sum_k c_k log(S((k-1) h) - S(k h)), with c_k the number of values equal
-    to k h and S the model's survival function. It is profiled the same
-    way: the same bounded search over gamma in [0.05, 2] (bounds included),
-    with the best log a at each gamma found by Newton's method on the
-    distinct cells (k, c_k), from closed-form derivatives.
+    to k h and S the model's survival function. It is profiled in gamma
+    too, by a bounded Brent search over gamma in [0.05, 2] (bounds
+    included), with the best log a at each gamma found by Newton's method
+    on the distinct cells (k, c_k), from closed-form derivatives.
 
     Parameters
     ----------
@@ -511,12 +540,63 @@ def fit_mle(sample: np.ndarray) -> SEModel:
     return _fit_censored(x, k, count, float(step))
 
 
+def _profile_score_root(shifted_log_x: np.ndarray) -> float:
+    """Root in GAMMA_BOUNDS of the continuous profile score, by safeguarded Newton.
+
+    Per value, the profile log-likelihood is l = log gamma + (log a(gamma) -
+    1) / gamma - lgamma(1/gamma). With s = 1/gamma, M1 and V the
+    x**gamma-weighted mean and variance of log x, and r = psi(s) - log
+    a(gamma), its derivatives are
+
+        l'  = (1 - M1) s + r s**2,
+        l'' = -V s - (1 - 2 M1) s**2 + (1 - 2 r) s**3 - psi'(s) s**4.
+
+    Rescaling x moves M1 and log a(gamma) so that l' does not change, so
+    the shifted values serve, and one pass of exp(gamma * shifted_log_x)
+    gives every sum. The search starts where the log-moment identity
+    Var(log x) = psi'(s) s**2 holds (x**gamma is a Gamma(s) variate),
+    inverted through the asymptotic form s + 1/2 + 1/(6 s) of its right
+    side, or at the upper bound where that form has no root. A Newton step
+    is taken when l'' < 0 and it lands inside the bracket of gammas where
+    l' changed sign, which starts as GAMMA_BOUNDS; otherwise the bracket is
+    bisected. The search stops at a step below 1e-10 gamma, from which
+    Newton's quadratic convergence leaves only rounding.
+    """
+    n = len(shifted_log_x)
+    sq = shifted_log_x * shifted_log_x
+    lo, hi = GAMMA_BOUNDS
+    b = float(np.var(shifted_log_x)) - 0.5
+    disc = b * b - 2.0 / 3.0
+    g = min(max(2.0 / (b + math.sqrt(disc)), lo), hi) if disc > 0 else hi
+    for _ in range(100):
+        w = np.exp(g * shifted_log_x)
+        total = float(np.sum(w))
+        m1 = float(w @ shifted_log_x) / total
+        var = float(w @ sq) / total - m1 * m1
+        s = 1.0 / g
+        r = digamma(s) - math.log(n / (g * total))
+        d1 = (1.0 - m1) * s + r * s * s
+        d2 = -var * s - (1.0 - 2.0 * m1) * s * s + (1.0 - 2.0 * r) * s**3 - trigamma(s) * s**4
+        if d1 > 0:
+            lo = g
+        else:
+            hi = g
+        new = g - d1 / d2 if d2 < 0 else math.nan
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - g) <= 1e-10 * g:
+            return new
+        g = new
+    return g
+
+
 def _fit_profile(x: np.ndarray) -> SEModel:
-    """Continuous MLE: minimize the profile likelihood over gamma in GAMMA_BOUNDS."""
+    """Continuous MLE: the profile score root, or a bound of GAMMA_BOUNDS where the likelihood is higher."""
     log_x = np.log(x)
     top = float(np.max(log_x))
     args = (log_x - top, top)
-    g, nll = _bounded_min(_profile_nll, GAMMA_BOUNDS, args)
+    root = _profile_score_root(args[0])
+    g, nll = min(((gi, _profile_nll(gi, *args)) for gi in (root, *GAMMA_BOUNDS)), key=lambda t: t[1])
     with np.errstate(over="ignore"):
         a = float(np.exp(_profile_log_a(g, *args)))
     if not (np.isfinite(nll) and 0.0 < a < np.inf):

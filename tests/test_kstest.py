@@ -418,3 +418,49 @@ def test_refit_bootstrap_holds_one_replicate_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@given(
+    a=st.floats(0.1, 30.0),
+    gamma=st.floats(0.1, 2.0),
+    shift=st.floats(0.8, 1.25),
+    n=st.integers(1, 5000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_ks_exceeds_decides_like_full_statistic(a, gamma, shift, n, seed):
+    # the sample is drawn from a model near the scored one; d = 5 gives a
+    # block wider than the sample
+    model = SEModel.normalized(a, gamma)
+    x = SEModel.normalized(a * shift, min(gamma * shift, 2.0)).sample(n, seed=seed)
+    ks = one_sample_ks(x, model)
+    steps = volint.kstest._ks_steps(n)
+    for d in (ks, ks - 1e-9, ks + 1e-9, 0.0, 0.5 * ks, 2.0 * ks, 1.0, 5.0):
+        assert volint.kstest._ks_exceeds(np.sort(x), model, d, steps) == (ks > d)
+
+
+def test_refit_replicates_score_few_cdf_points(monkeypatch):
+    # lognormal data misfit by the fitted stretched exponential, so every
+    # replicate's distance falls far below the observed one
+    points = []
+    se_cdf = volint.kstest.se_cdf
+
+    def counting(model, x):
+        points.append(np.size(x))
+        return se_cdf(model, x)
+
+    monkeypatch.setattr(volint.kstest, "se_cdf", counting)
+    n, n_boot = 2000, 100
+    x = np.random.default_rng(3).lognormal(0.0, 1.0, n)
+    report = bootstrap_pvalue(x, fit_mle(x), n_boot=n_boot, seed=0, refit=True)
+    assert report.p == 0.0
+    assert points[0] == n  # the observed distance
+    assert sum(points[1:]) < 0.05 * n_boot * n
+
+
+# p of null samples against their own fit, equal to scoring every
+# replicate's CDF at all n points with one_sample_ks
+@pytest.mark.parametrize("k, p", enumerate([0.34, 0.415, 0.485, 0.49, 0.09, 0.975]))
+def test_refit_null_pvalues_unchanged(k, p):
+    x = SEModel.normalized(14.2, 0.38).sample(3000, seed=100 + k)
+    assert bootstrap_pvalue(x, fit_mle(x), n_boot=200, seed=k, refit=True).p == p

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
-from scipy.special import gammainc, gammaincc, gammaincinv, gammaln
+from scipy.special import digamma, gammainc, gammaincc, gammaincinv, gammaln, polygamma
 
 import volint.semodel
 from volint import (
@@ -172,17 +172,42 @@ def _continuous_nll(a, g, x):
 
 
 def test_fit_mle_plain_array_unchanged():
-    # pinned from the profile-likelihood fit with math.lgamma (scipy's gammaln
-    # led Brent to (5.781109578966131, 0.42514563913233816)); the earlier
-    # three-start L-BFGS-B fit stopped at (5.781108669753378, 0.42514577142213195),
-    # which must not have the higher likelihood
+    # pinned from the profile-score root; neither Brent's optimum of the
+    # profile likelihood, (5.781109579195026, 0.42514563907594427), nor the
+    # three-start L-BFGS-B fit, (5.781108669753378, 0.42514577142213195),
+    # may have the higher likelihood
     x = SEModel.normalized(5.79, 0.43).sample(2_000, seed=0)
     fitted = fit_mle(x)
-    np.testing.assert_allclose(fitted.a, 5.781109579195026, rtol=1e-12)
-    np.testing.assert_allclose(fitted.gamma, 0.42514563907594427, rtol=1e-12)
-    assert _continuous_nll(fitted.a, fitted.gamma, x) <= _continuous_nll(
-        5.781108669753378, 0.42514577142213195, x
-    )
+    np.testing.assert_allclose(fitted.a, 5.781109557270537, rtol=1e-12)
+    np.testing.assert_allclose(fitted.gamma, 0.4251456444775813, rtol=1e-12)
+    nll = _continuous_nll(fitted.a, fitted.gamma, x)
+    assert nll <= _continuous_nll(5.781109579195026, 0.42514563907594427, x)
+    assert nll <= _continuous_nll(5.781108669753378, 0.42514577142213195, x)
+
+
+@pytest.mark.parametrize("gamma, n, seed", [(0.43, 2_000, 0), (0.38, 3_000, 1), (1.0, 500, 2)])
+def test_fit_mle_interior_optimum_is_score_root(gamma, n, seed):
+    # the central difference of the profile NLL vanishes at the fit, to
+    # rounding: Brent's search stopped 1e-8 * gamma away, where it reads
+    # 1.3e-5 to 3.6e-5 of its value 0.1% above the fit
+    x = SEModel.normalized(5.79, gamma).sample(n, seed=seed)
+    log_x = np.log(x)
+    args = (log_x - log_x.max(), float(log_x.max()))
+    g = fit_mle(x).gamma
+    h = 1e-5 * g
+
+    def slope(at):
+        return (_profile_nll(at + h, *args) - _profile_nll(at - h, *args)) / (2 * h)
+
+    assert GAMMA_BOUNDS[0] < g < GAMMA_BOUNDS[1]
+    assert abs(slope(g)) <= 1e-6 * abs(slope(1.001 * g))
+
+
+def test_polygamma_matches_scipy():
+    # 1/gamma for gamma in GAMMA_BOUNDS spans [0.5, 20]
+    for x in np.linspace(0.5, 20.0, 2_000):
+        assert abs(volint.semodel.digamma(x) - digamma(x)) <= 4e-15 * max(1.0, abs(digamma(x)))
+        assert abs(volint.semodel.trigamma(x) - polygamma(1, x)) <= 4e-15 * polygamma(1, x)
 
 
 @pytest.mark.parametrize("n", [50, 10_000])
