@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from functools import cached_property
 from itertools import chain
+from operator import add
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
@@ -407,17 +408,19 @@ def sample_minutely(ticks: Ticks | Iterable[TickRecord], cal: TradingCalendar) -
 def write_minute_csv(ms: MinuteSeries, path: str | Path) -> None:
     """Write a minute series back out in tick-CSV form (one row per present mark).
 
-    Rows end in CRLF and prices are ``repr`` floats; the file is written a day at a time.
+    Rows end in CRLF and prices are ``repr`` floats; the file is written a day
+    at a time, each day as one string of ``timestamp,`` heads joined to prices.
     """
     slots = ms.slots.astype(np.int64, copy=False).tolist()
     # minute 1440, the close of a session ending at 24:00, is the next day's 00:00
-    clock = [time(s // 60 % 24, s % 60).isoformat() for s in slots]
+    clock = [f"T{time(s // 60 % 24, s % 60).isoformat()}," for s in slots]
     next_day = [s // 1440 for s in slots]
     with open(path, "w", newline="") as fh:
         fh.write("timestamp,price\r\n")
         for d, row in zip(ms.days, ms.prices):
-            k = np.flatnonzero(np.isfinite(row))
+            k = np.flatnonzero(np.isfinite(row)).tolist()
+            if not k:
+                continue
             day = (d.isoformat(), (d + timedelta(days=1)).isoformat())
-            fh.writelines(
-                f"{day[next_day[j]]}T{clock[j]},{p!r}\r\n" for j, p in zip(k.tolist(), row[k].tolist())
-            )
+            heads = [day[next_day[j]] + clock[j] for j in k]
+            fh.write("\r\n".join(map(add, heads, map(repr, row[k].tolist()))) + "\r\n")

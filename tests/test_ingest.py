@@ -533,6 +533,18 @@ def test_minute_csv_pinned_bytes(tmp_path):
     )
 
 
+def test_minute_csv_skips_a_day_without_prices(tmp_path):
+    cal = TradingCalendar(days=(DAY, date(2004, 1, 6), date(2004, 1, 7)), sessions=((570, 572),))
+    nan = np.nan
+    prices = np.array([[1.5, nan], [nan, nan], [nan, 2.5]])
+    ms = MinuteSeries(days=cal.days, slots=cal.slots, session_id=cal.session_id, prices=prices)
+    path = tmp_path / "minutes.csv"
+    write_minute_csv(ms, path)
+    assert path.read_bytes() == (
+        b"timestamp,price\r\n" b"2004-01-05T09:31:00,1.5\r\n" b"2004-01-07T09:32:00,2.5\r\n"
+    )
+
+
 @pytest.fixture(scope="module")
 def corpus_140k(tmp_path_factory):
     path = tmp_path_factory.mktemp("io") / "ticks.csv"

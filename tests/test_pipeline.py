@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,7 +11,9 @@ import numpy as np
 import pytest
 
 from volint import ConfigError, StageError, derive_seed, run_analyze, validate_config
-from volint.pipeline import _write_volatility_csv, write_rows
+from volint.cli import main
+from volint.ingest import write_minute_csv
+from volint.pipeline import _write_volatility_csv, build_volatility, load_minutes, write_rows
 
 ARTIFACTS = [
     "alpha.csv",
@@ -169,3 +173,65 @@ def test_volatility_csv_bytes_match_write_rows(tmp_path):
     expected = io.StringIO()
     write_rows(expected, ["day", "slot", "v"], rows)
     assert (tmp_path / "volatility.csv").read_bytes() == expected.getvalue().encode()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failed_writer_child_is_recorded(tmp_path, corpus_cfg, capsys, monkeypatch):
+    # a directory in the way makes the forked minutes.csv writer fail
+    out = tmp_path / "out"
+    (out / "minutes.csv").mkdir(parents=True)
+    cfg = corpus_cfg(out)
+    with pytest.raises(StageError) as err:
+        run_analyze(validate_config(cfg))
+    _assert_no_child_left()
+    assert err.value.stage == "ingest"
+    assert isinstance(err.value.cause, OSError)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failed_stage"] == "ingest"
+    assert summary["error"] == str(err.value.cause)
+    assert "minutes.csv" in summary["error"]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["analyze", "--config", str(cfg_path)]) == 3
+    _assert_no_child_left()
+    # the child's message is the one the same write raises in-process
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(StageError):
+        run_analyze(validate_config(cfg))
+    inline = json.loads((out / "summary.json").read_text())
+    assert (inline["failed_stage"], inline["error"]) == ("ingest", summary["error"])
+
+
+def test_writers_finish_before_a_later_stage_failure(tmp_path, corpus_cfg):
+    out = tmp_path / "broken"
+    cfg = validate_config(corpus_cfg(out, thresholds=[40.0, 50.0]))
+    with pytest.raises(StageError) as err:
+        run_analyze(cfg)
+    _assert_no_child_left()
+    assert err.value.stage == "intervals"
+    ms, _ = load_minutes(cfg)
+    v, _, _ = build_volatility(ms, cfg)
+    write_minute_csv(ms, tmp_path / "minutes.csv")
+    _write_volatility_csv([d.isoformat() for d in ms.days], v, tmp_path / "volatility.csv")
+    for name in ("minutes.csv", "volatility.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_in_process_writers_match_forked(analyzed, corpus_cfg, monkeypatch):
+    _, out = analyzed
+    forked = {name: (out / name).read_bytes() for name in ARTIFACTS + ["summary.json"]}
+    monkeypatch.delattr(os, "fork")
+    run_analyze(validate_config(corpus_cfg(out)))
+    assert {name: (out / name).read_bytes() for name in ARTIFACTS + ["summary.json"]} == forked
+
+
+def test_run_raises_no_warning(tmp_path, corpus_cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary = run_analyze(validate_config(corpus_cfg(tmp_path / "out")))
+    assert summary["failed_stage"] is None
+    _assert_no_child_left()
