@@ -187,12 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(func=cmd_ks_matrix)
 
-    p = sub.add_parser("fit", help="stretched-exponential fits with bootstrap p-values")
+    p = sub.add_parser("fit", help="stretched-exponential fits with KS p-values")
     _add_series_args(p)
     p.add_argument("--mode", choices=("mle", "lsq"), dest="fit_mode")
-    p.add_argument("--n-boot", type=int)
+    p.add_argument("--n-boot", type=int, help="bootstrap replicates, drawn only with --refit")
     p.add_argument("--seed", type=int)
-    _switch(p, "--refit", "refit", "refit each bootstrap replicate")
+    _switch(p, "--refit", "refit", "bootstrap p with a refit of each replicate")
     _add_lattice_arg(p)
     p.add_argument("--bins-per-decade", type=int)
     p.add_argument("--out-dir", "-o", default="out")

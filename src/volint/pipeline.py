@@ -212,7 +212,12 @@ def load_normalized(cfg: RunConfig) -> tuple[NormVolSeries, IntradayPattern, flo
 
 
 def fit_threshold(cfg: RunConfig, sample: IntervalSample) -> FitReport:
-    """Fit one threshold's scaled intervals and bootstrap its p-value."""
+    """Fit one threshold's scaled intervals and take its KS p-value.
+
+    ``bootstrap_pvalue`` gives p from the exact Kolmogorov law, or from a
+    bootstrap of ``cfg.n_boot`` refitted replicates when ``cfg.refit`` is
+    set; the replicates' seed is derived from the run seed and q.
+    """
     if cfg.fit_mode == "lsq":
         model = fit_lsq(scaled_pdf(sample, cfg.bins_per_decade))
     else:

@@ -665,8 +665,9 @@ def fit_lsq(pdf: PdfTable) -> SEModel:
 class FitReport:
     """Fit summary: parameters plus goodness of fit.
 
-    ``p`` is the bootstrap p-value (None when no bootstrap was run),
-    ``ks`` the one-sample KS distance of the data to the model, and
+    ``p`` is the p-value of ``ks`` (None when none was computed), ``ks``
+    the one-sample KS distance of the data to the model, ``n_boot`` the
+    configured replicate count, which only a refit bootstrap draws, and
     ``n_failed_refits`` counts bootstrap replicates dropped because their
     refit failed (only possible with refit=True).
     """

@@ -1,5 +1,8 @@
 """Shared fixtures for the volint test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -43,6 +46,19 @@ def corpus_cfg(corpus_csv):
         return cfg
 
     return make
+
+
+@pytest.fixture(scope="session")
+def blas_envs():
+    """Child-process environments with one BLAS thread, then BLAS's default count.
+
+    Both import this checkout's ``src``.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    default = {k: v for k, v in os.environ.items() if k not in names}
+    default["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")]))
+    return [{**default, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, default]
 
 
 @pytest.fixture(scope="session")

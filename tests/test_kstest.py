@@ -1,5 +1,9 @@
 """Two-sample and one-sample KS tests, critical values, bootstrap p-values."""
 
+import math
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -21,6 +25,7 @@ from volint import (
     empirical_cdf,
     extract_intervals,
     fit_mle,
+    kolmogorov_sf,
     ks_matrix,
     one_sample_ks,
     two_sample_ks,
@@ -258,6 +263,9 @@ def test_bootstrap_rejects_wrong_model():
     wrong = SEModel.normalized(1.0, 1.0)
     x = right.sample(2000, seed=2)
     report = bootstrap_pvalue(x, wrong, n_boot=100, seed=0)
+    # ks > 0.5, where the Kolmogorov tail is twice the exact one-sided one:
+    # about exp(-2 n ks**2) = exp(-1244), below the smallest double
+    assert report.ks == 0.5576296749017116
     assert report.p == 0.0
 
 
@@ -293,11 +301,11 @@ def test_bootstrap_null_calibration_smoke():
     assert np.mean(np.array(ps) < 0.05) <= 0.2
 
 
-# A replicate's draws depend only on its own spawned seed, so p and ks stay
-# exact. The refit=False p was re-pinned when fixed-model replicates became
-# sorted uniforms (kstwo.sf gives 0.396 for this ks and n). Both ks values
-# were re-pinned in their last digits when se_cdf stopped calling scipy.
-@pytest.mark.parametrize("refit, p", [(False, 0.46), (True, 0.075)])
+# A refit replicate's draws depend only on its own spawned seed, so p and ks
+# stay exact. The refit=False p is the Kolmogorov law's (kstwo.sf gives
+# 0.3964195665150202); it was 0.46 from 200 replicates. Both ks values were
+# re-pinned in their last digits when se_cdf stopped calling scipy.
+@pytest.mark.parametrize("refit, p", [(False, 0.3964195665150203), (True, 0.075)])
 def test_bootstrap_pinned_plain_array(refit, p):
     model = SEModel.normalized(5.79, 0.43)
     x = model.sample(2000, seed=12)
@@ -312,7 +320,7 @@ def test_bootstrap_pinned_lattice_sample():
     tau = np.ceil(model.sample(2000, seed=10) * 1000).astype(np.int64)
     sample = IntervalSample(q=3.0, tau=tau, source_length=int(tau.sum()))
     report = bootstrap_pvalue(sample, model, n_boot=200, seed=10)
-    assert report.p == 0.635
+    assert report.p == 0.636146000332821  # kstwo.sf; 0.635 from 200 replicates
     assert report.ks == 0.016568816221495142
 
 
@@ -351,7 +359,8 @@ def test_bootstrap_every_refit_failing_raises(monkeypatch):
 
 
 def test_bootstrap_holds_one_replicate_at_a_time():
-    # 400 replicates of 5,000 draws would take 15 MiB as one block
+    # the fixed-model p draws no replicate; 400 replicates of 5,000 draws
+    # would take 15 MiB as one block
     model = SEModel.normalized(5.79, 0.43)
     x = model.sample(5000, seed=0)
     tracemalloc.start()
@@ -406,6 +415,87 @@ def test_fixed_model_replicates_call_no_model(monkeypatch, refit):
         assert calls["se_sample"] == n_boot
     else:
         assert calls == {"se_cdf": 1, "se_sample": 0}
+
+
+def test_fixed_model_p_draws_nothing(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the fixed-model p drew a replicate")
+
+    model = SEModel.normalized(5.79, 0.43)
+    x = SEModel.normalized(5.45, 0.43).sample(2000, seed=3)
+    for name in ("se_sample", "fit_mle"):
+        monkeypatch.setattr(volint.kstest, name, forbidden)
+    monkeypatch.setattr(np.random, "SeedSequence", forbidden)
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    report = bootstrap_pvalue(x, model, n_boot=500, seed=5)
+    assert report.p == kolmogorov_sf(report.ks, 2000)
+    assert (report.n_boot, report.seed, report.n_failed_refits) == (500, 5, 0)
+
+
+# every branch of kolmogorov_sf: n = 140 / 141 switch the rules, and each
+# n gets points either side of t = n d = 1/2, 1 and n - 1, d = 1/2,
+# n d**2 = 0.754693, 2.2, 4, 18 and 370, and n d**1.5 = 1.4
+_KOLMOGOROV_NS = [1, 2, 3, 5, 10, 40, 100, 139, 140, 141, 200, 1000, 2481, 10_000, 31_748, 99_999, 100_000]
+
+
+def _kolmogorov_points(n: int) -> list[float]:
+    from scipy.stats import kstwo
+
+    ds = [float(kstwo.isf(p, n)) for p in np.logspace(-12, 0, 13)]
+    edges = [0.5 / n, 1.0 / n, (n - 1.0) / n, 0.5, (1.4 / n) ** (2 / 3)]
+    edges += [math.sqrt(c / n) for c in (0.754693, 2.2, 4.0, 18.0, 370.0)]
+    ds += [e * f for e in edges for f in (1 - 1e-9, 1 + 1e-9)]
+    return [d for d in ds if 0.0 < d < 1.0]
+
+
+@pytest.mark.parametrize("n", _KOLMOGOROV_NS)
+def test_kolmogorov_sf_matches_scipy(n):
+    from scipy.stats import kstwo
+
+    for d in _kolmogorov_points(n):
+        want = float(kstwo.sf(d, n))
+        took = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            got = kolmogorov_sf(d, n)
+            took.append(time.perf_counter() - t0)
+        assert abs(got - want) <= 1e-6, (n, d, got, want)
+        if want >= 1e-12:
+            assert abs(got - want) <= 1e-5 * want, (n, d, got, want)
+        assert min(took) < 0.010, (n, d, min(took))
+
+
+def test_kolmogorov_sf_closed_forms():
+    n = 5
+    assert kolmogorov_sf(0.5 / n, n) == 1.0
+    assert kolmogorov_sf(1.0, n) == 0.0
+    # Ruben-Gambino: P(D_n <= d) = n! / n**n (2 n d - 1)**n for n d <= 1
+    np.testing.assert_allclose(1.0 - kolmogorov_sf(0.9 / n, n), math.factorial(n) / n**n * 0.8**n, rtol=1e-12)
+    np.testing.assert_allclose(kolmogorov_sf(0.85, n), 2.0 * 0.15**n, rtol=1e-12)
+    assert kolmogorov_sf(0.75, 1) == 0.5
+    with pytest.raises(ValueError):
+        kolmogorov_sf(0.1, 0)
+
+
+def test_kolmogorov_sf_same_bits_at_any_blas_thread_count(blas_envs):
+    # Durbin matrices up to 117 wide: a threaded BLAS matrix product of that
+    # size gives other bits at another thread count. Where the matrix is
+    # that wide the sf is 1 - cdf with a tiny cdf, so the squares themselves
+    # are compared too.
+    n_d = [(n, (1.4 / n) ** (2 / 3) * (1 - 1e-9)) for n in (1000, 20_000, 100_000)]
+    n_d += [(140, 0.15), (5000, 0.01), (2481, 0.0697)]
+    code = (
+        "import numpy as np\n"
+        "from volint.kstest import _square_flipped, kolmogorov_sf\n"
+        "s = np.random.default_rng(0).random((117, 117))\n"
+        "print(_square_flipped(s + s.T).tobytes().hex())\n"
+        f"print([kolmogorov_sf(d, n).hex() for n, d in {n_d!r}])"
+    )
+    outputs = [
+        subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+        for env in blas_envs
+    ]
+    assert outputs[0] == outputs[1]
 
 
 def test_refit_bootstrap_holds_one_replicate_at_a_time():

@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -235,3 +237,16 @@ def test_run_raises_no_warning(tmp_path, corpus_cfg):
         summary = run_analyze(validate_config(corpus_cfg(tmp_path / "out")))
     assert summary["failed_stage"] is None
     _assert_no_child_left()
+
+
+def test_same_bytes_at_any_blas_thread_count(corpus_cfg, tmp_path, blas_envs):
+    # one BLAS thread, then BLAS's own default: a threaded matrix product can
+    # give other bits at another thread count, and no artifact may show it
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(corpus_cfg(tmp_path / "out")))
+    argv = [sys.executable, "-m", "volint.cli", "analyze", "--config", str(cfg_path)]
+    runs = []
+    for env in blas_envs:
+        subprocess.run(argv, env=env, capture_output=True, check=True)
+        runs.append({name: (tmp_path / "out" / name).read_bytes() for name in ARTIFACTS + ["summary.json"]})
+    assert runs[0] == runs[1]
