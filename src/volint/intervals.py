@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -270,70 +270,67 @@ class ThresholdResult(NamedTuple):
     mean_interval: float
 
 
-def threshold_for_mean(v, target: float, cross_day: bool = True) -> ThresholdResult:
-    """Distinct value of the series whose mean interval is near ``target``.
+def threshold_for_mean(v, targets: Sequence[float], cross_day: bool = True) -> list[ThresholdResult]:
+    """Per target, the threshold whose mean interval is nearest it, and that mean.
 
-    The candidates are the series' distinct values up to the third-largest;
-    candidate q keeps the points v > q, so the top one keeps the points at
-    or above the second-largest value. With ``cross_day=False`` the top
-    candidate is instead the highest that still yields a same-day interval.
-    The mean interval is taken to rise with q, and a bisection over the
-    candidates finds two neighbours that bracket the target. Returns the
-    nearer of them (the lower on a tie) and its achieved mean. The mean
-    interval is not monotone near the top candidates, where it can rise
-    through the target at several pairs (three for target 15 on
-    ``gen_iid_volatility(3000, seed=7)`` with ``cross_day=False``), so the
-    bisection lands on one of them and another candidate can lie nearer
-    the target. Above the top
-    candidate's mean the top candidate is returned, up to half a minute; a
-    target more than half a minute above it raises ``UnreachableTargetError``.
+    The candidates are the distinct values and one value below the minimum
+    that leave an interval. Candidate q keeps the points v > q, a prefix of
+    the descending sort. Day labels never decrease, so each day's kept
+    intervals sum to the span of its kept positions, and one sort gives
+    every candidate's exact mean. With ``cross_day=True``, or for a plain
+    array, all points are one day. Returns the nearest candidate, the lower
+    q on a tie. Raises ``UnreachableTargetError`` if every mean is below target - 1/2.
     """
-    if target < 1.0:
+    if any(t < 1.0 for t in targets):
         raise ValueError("target mean interval must be >= 1")
-    values, _ = _series_values(v)
-    distinct = np.unique(values)
-    if len(distinct) < 2:
-        raise UnreachableTargetError("series is constant; no usable threshold")
-    # with two distinct values the top candidate keeps every point
-    candidates = distinct[:-2] if len(distinct) > 2 else np.nextafter(distinct[:1], -np.inf)
+    values, day = _series_values(v)
+    n = len(values)
+    pos = np.argsort(values)[::-1]
+    ranked = values[pos]
+    last = ranked != np.append(ranked[1:], np.nan)  # a candidate's prefix ends a run of equal values
+    del ranked
+    if cross_day or day is None:
+        span = np.maximum.accumulate(pos).astype(np.float64)
+        span -= np.minimum.accumulate(pos)
+        count = np.arange(n)
+    else:
+        span, count = _same_day_totals(pos, day)
+    with np.errstate(invalid="ignore"):
+        mean = np.divide(span, count, out=span)  # nan where no interval is left
+    mean[~last] = np.nan
+    del count, last
+    top = np.fmax.reduce(mean, initial=-np.inf)
+    if top == -np.inf:
+        raise UnreachableTargetError("no threshold yields two exceedances")
+    out, gap = [], np.empty_like(mean)
+    for target in targets:
+        if top < target - 0.5:
+            raise UnreachableTargetError(f"largest reachable mean interval is {top:.3g}, below target {target:g}")
+        np.abs(np.subtract(mean, target, out=gap), out=gap)
+        i = np.flatnonzero(gap == np.fmin.reduce(gap))[-1]
+        q = values[pos[i + 1]] if i + 1 < n else np.nextafter(values[pos[i]], -np.inf)
+        out.append(ThresholdResult(float(q), float(mean[i])))
+    return out
 
-    def at(i: int) -> ThresholdResult | None:
-        q = float(candidates[i])
-        try:
-            return ThresholdResult(q, extract_intervals(v, q, cross_day=cross_day).mean_interval)
-        except InsufficientEventsError:
-            return None
 
-    hi = len(candidates) - 1
-    high = at(hi)
-    if high is None:
-        # every point between two same-day exceedances lies on that day, so a
-        # candidate with an interval has one below it too: bisect for the highest
-        lo = -1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            r = at(mid)
-            if r is None:
-                hi = mid
-            else:
-                lo, high = mid, r
-        if high is None:
-            raise UnreachableTargetError("no threshold yields two exceedances")
-        hi = lo
-    if high.mean_interval < target - 0.5:
-        raise UnreachableTargetError(
-            f"largest reachable mean interval is {high.mean_interval:.3g}, below target {target:g}"
-        )
-    if high.mean_interval < target:
-        return high
-    lo, low = -1, None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        r = at(mid)
-        if r.mean_interval < target:
-            lo, low = mid, r
-        else:
-            hi, high = mid, r
-    if low is None or high.mean_interval - target < target - low.mean_interval:
-        return high
-    return low
+def _same_day_totals(pos: np.ndarray, day: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum and count of the same-day intervals among the points pos[:j + 1], for every j."""
+    # group the points by day, in prefix order within a day, and offset each day
+    # by day * (n + 1), so that a running maximum restarts at every day
+    off = day[pos].astype(np.int64, copy=False)
+    by_day = np.argsort(off, kind="stable")
+    off.sort()
+    first = np.append(True, off[1:] != off[:-1])
+    off *= len(pos) + 1
+    p = pos[by_day]
+    span = off + p
+    np.maximum.accumulate(span, out=span)  # offset + the day's max so far
+    span += np.maximum.accumulate(np.subtract(off, p, out=off), out=off)  # offset - the day's min so far
+    del p, off
+    # each point adds its day's growth in span and, unless first on its day, one interval
+    span[1:] -= span[:-1]
+    span[first] = 0
+    total, count = np.empty_like(span), np.empty_like(span)
+    total[by_day], count[by_day] = span, ~first
+    del span, by_day
+    return np.cumsum(total, out=total).astype(np.float64), np.cumsum(count, out=count)

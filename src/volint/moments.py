@@ -258,10 +258,10 @@ def moment_vs_order(
 ) -> list[OrderCurve]:
     """Empirical and fitted-model root-moments across orders m.
 
-    For each target <tau>, takes the threshold whose mean interval is
-    nearest it (``threshold_for_mean``), extracts intervals, evaluates mu_m
-    over ``m_grid`` (default 0.25 to 3 in steps of 0.25), and fits the model
-    by maximum likelihood for the analytic curve: the interval-censored
+    One ``threshold_for_mean`` call gives the threshold whose mean interval
+    is nearest each target <tau>. For each, extracts intervals, evaluates
+    mu_m over ``m_grid`` (default 0.25 to 3 in steps of 0.25), and fits the
+    model by maximum likelihood for the analytic curve: the interval-censored
     likelihood with ``lattice`` (default), the continuous one on the plain
     scaled values otherwise. Every empirical ``mu`` passes through (1, 1) up
     to rounding. The lattice fit's ``mu_model`` does not: at m = 1 it is the
@@ -273,8 +273,7 @@ def moment_vs_order(
     if np.any(grid <= 0):
         raise ValueError("moment orders must be positive")
     out = []
-    for target in mean_targets:
-        q, achieved = threshold_for_mean(v, target, cross_day=cross_day)
+    for target, (q, achieved) in zip(mean_targets, threshold_for_mean(v, mean_targets, cross_day=cross_day)):
         s = extract_intervals(v, q, cross_day=cross_day)
         x = s.scaled()
         model = fit_mle(x if lattice else np.asarray(x))

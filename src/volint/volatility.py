@@ -71,6 +71,8 @@ class NormVolSeries:
             raise ValueError("values, day, and slot must have equal length")
         if len(self.values) < 2:
             raise ValueError("normalized series needs at least two points")
+        if not np.all(self.day[1:] >= self.day[:-1]):
+            raise ValueError("day labels must not decrease")
         if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
             raise ValueError("normalized volatility must be finite and non-negative")
         if abs(float(np.std(self.values)) - 1.0) > 1e-9:

@@ -242,6 +242,15 @@ def test_analyze_moments_failure_exits_4(tmp_path, corpus_cfg, capsys):
     assert (out / "fits.csv").is_file()
 
 
+def test_analyze_order_curve_target_above_top_value_mean(tmp_path, capsys):
+    # the planted-interval corpus's highest candidate has a mean of 67; a lower one reaches 100
+    ticks, out = tmp_path / "ticks.csv", tmp_path / "o"
+    assert main(["synth", "--kind", "se_intervals", "--n", "35000", "--seed", "12", "--out", str(ticks)]) == 0
+    assert main(["analyze", "--input", str(ticks), "--out-dir", str(out), "--seed", "7"]) == 0
+    curve = json.loads((out / "summary.json").read_text())["order_curves"][2]
+    assert (curve["q"], curve["achieved_mean"]) == (4.3446572696390415, 99.98579545454545)
+
+
 def test_analyze_failed_lsq_fit_exits_4_without_fits(tmp_path, corpus_cfg, capsys):
     # q = 5.25 keeps 37 intervals, whose log-binned density drives the
     # least-squares gamma to its lower bound; one failed threshold ends the run

@@ -161,67 +161,112 @@ def test_empirical_cdf_right_continuous():
 
 
 def test_threshold_for_mean_hits_target(iid_series):
-    result = threshold_for_mean(iid_series, 10.0)
+    (result,) = threshold_for_mean(iid_series, [10.0])
     assert abs(result.mean_interval - 10.0) <= 0.5
-    again = threshold_for_mean(iid_series, 10.0)
-    assert again.q == result.q
-    assert again.mean_interval == result.mean_interval
+    assert threshold_for_mean(iid_series, [10.0]) == [result]
 
 
 def test_threshold_for_mean_validates_target(iid_series):
     with pytest.raises(ValueError):
-        threshold_for_mean(iid_series, 0.5)
+        threshold_for_mean(iid_series, [10.0, 0.5])
 
 
 def test_threshold_for_mean_unreachable(iid_series):
     with pytest.raises(UnreachableTargetError):
-        threshold_for_mean(iid_series, 1e9)
+        threshold_for_mean(iid_series, [1e9])
+
+
+def _nearest_by_brute_force(v, target, cross_day):
+    """(q, mean) of the candidate nearest ``target``, the lower q on a tie, from extract_intervals."""
+    values = v.values if isinstance(v, NormVolSeries) else v
+    means = {}
+    for q in [*np.unique(values), np.nextafter(values.min(), -np.inf)]:
+        try:
+            means[float(q)] = extract_intervals(v, q, cross_day=cross_day).mean_interval
+        except InsufficientEventsError:
+            pass
+    if not means:
+        return "no threshold yields two exceedances"
+    if max(means.values()) < target - 0.5:
+        return "largest reachable mean interval"
+    return min(means.items(), key=lambda qm: (abs(qm[1] - target), qm[0]))
 
 
 @pytest.mark.parametrize("cross_day", [True, False])
-def test_threshold_for_mean_is_nearest_of_bracketing_pair(cross_day):
+def test_threshold_for_mean_is_nearest_candidate(cross_day):
     v = gen_iid_volatility(3000, seed=7)
-    candidates = np.unique(v.values)[:-2]
-    means = np.array([extract_intervals(v, q, cross_day=cross_day).mean_interval for q in candidates])
-    for target in (2.0, 5.0, 8.0, 10.0, 20.0):
-        # the brute-force means cross each of these targets exactly once
-        (i,) = np.flatnonzero((means[:-1] < target) & (means[1:] >= target))
-        nearest = i if target - means[i] <= means[i + 1] - target else i + 1
-        assert threshold_for_mean(v, target, cross_day=cross_day) == (
-            candidates[nearest],
-            means[nearest],
-        )
+    targets = (1.0, 2.0, 5.0, 8.0, 10.0, 15.0, 20.0, 40.0)
+    expected = [_nearest_by_brute_force(v, t, cross_day) for t in targets]
+    assert threshold_for_mean(v, targets, cross_day=cross_day) == expected
 
 
-# candidate 1.0 keeps positions 0, 2, 4, 6, 8 (mean 2); the top candidate 2.0
-# keeps the values >= 3, at positions 0, 4, 8 (mean 4)
+@settings(max_examples=300, deadline=None)
+@given(
+    raw=st.lists(st.integers(0, 4), min_size=2, max_size=40),
+    new_day=st.lists(st.booleans(), min_size=40, max_size=40),
+    target=st.floats(1.0, 25.0),
+    cross_day=st.booleans(),
+)
+def test_threshold_for_mean_matches_brute_force(raw, new_day, target, cross_day):
+    # small integer values tie often; day labels never decrease
+    raw = np.array(raw, dtype=float)
+    if raw.min() == raw.max():
+        v = raw
+    else:
+        day = np.cumsum(new_day[: len(raw)])
+        v = NormVolSeries(values=raw / np.std(raw), day=day, slot=np.arange(len(raw)))
+    expected = _nearest_by_brute_force(v, target, cross_day)
+    if isinstance(expected, str):
+        with pytest.raises(UnreachableTargetError, match=expected):
+            threshold_for_mean(v, [target], cross_day=cross_day)
+    else:
+        assert threshold_for_mean(v, [target], cross_day=cross_day) == [expected]
+
+
+def test_threshold_for_mean_takes_nearest_of_several_crossings():
+    # the mean interval rises through 15 at three pairs of neighbouring values
+    v = gen_iid_volatility(3000, seed=7)
+    assert threshold_for_mean(v, [15.0, 40.0], cross_day=False) == [
+        (3.1273827628191535, 15.011363636363637),
+        (4.30044975415165, 40.0),
+    ]
+
+
+def test_threshold_for_mean_reaches_target_above_top_value_mean():
+    # the highest candidate with a same-day interval has a mean of 17; lower ones reach 40
+    v = gen_iid_volatility(35_000, seed=5)
+    (result,) = threshold_for_mean(v, [40.0], cross_day=False)
+    assert result.mean_interval == 40.0
+    assert extract_intervals(v, result.q, cross_day=False).mean_interval == 40.0
+
+
+# candidate 1.0 keeps positions 0, 2, 4, 6, 8 (mean 2); candidate 2.0 keeps
+# the values >= 3, at positions 0, 4, 8 (mean 4)
 LADDER = np.array([3.0, 1.0, 2.0, 1.0, 4.0, 1.0, 2.0, 1.0, 3.0])
 
 
 def test_threshold_for_mean_tie_takes_lower_q():
-    assert threshold_for_mean(LADDER, 3.0) == (1.0, 2.0)
-    assert threshold_for_mean(LADDER, 3.01) == (2.0, 4.0)
+    assert threshold_for_mean(LADDER, [3.0, 3.01]) == [(1.0, 2.0), (2.0, 4.0)]
 
 
 def test_threshold_for_mean_top_candidate_up_to_half_a_minute():
-    for target in (4.2, 4.5):
-        result = threshold_for_mean(LADDER, target)
+    for result in threshold_for_mean(LADDER, [4.2, 4.5]):
         assert result == (2.0, 4.0)
         assert list(extract_intervals(LADDER, result.q).tau) == [4, 4]
     with pytest.raises(UnreachableTargetError, match="largest reachable mean interval is 4"):
-        threshold_for_mean(LADDER, 4.51)
+        threshold_for_mean(LADDER, [4.51])
 
 
 def test_threshold_for_mean_two_valued_series_keeps_every_point():
-    result = threshold_for_mean(np.array([1.0, 2.0, 1.0, 2.0]), 1.5)
+    (result,) = threshold_for_mean(np.array([1.0, 2.0, 1.0, 2.0]), [1.5])
     assert result.mean_interval == 1.0
     assert result.q < 1.0
 
 
 def test_threshold_for_mean_small_targets_exist(iid_series):
     # each target in the default ladder is reachable on iid data
-    for target in (10.0, 30.0, 100.0):
-        result = threshold_for_mean(iid_series, target)
+    targets = (10.0, 30.0, 100.0)
+    for target, result in zip(targets, threshold_for_mean(iid_series, targets)):
         assert abs(result.mean_interval - target) <= 0.5
 
 
@@ -231,19 +276,18 @@ def _two_days(raw, day):
 
 def test_threshold_for_mean_same_day_top_candidate():
     # the two largest values fall on different days, so with cross_day=False the
-    # top candidate is the next one down, q = 2, whose one same-day interval is 3
+    # candidate with the largest mean is the next one down, q = 2, whose one
+    # same-day interval is 3
     v = _two_days(np.array([9.0, 1, 1, 3, 1, 2, 1, 8, 2, 1, 1, 1]), [0] * 6 + [1] * 6)
     q1, q2 = v.values[1], v.values[5]
-    assert threshold_for_mean(v, 3.0, cross_day=False) == (q2, 3.0)
-    assert threshold_for_mean(v, 3.5, cross_day=False) == (q2, 3.0)
-    assert threshold_for_mean(v, 2.4, cross_day=False) == (q1, 2.0)
+    assert threshold_for_mean(v, [3.0, 3.5, 2.4], cross_day=False) == [(q2, 3.0), (q2, 3.0), (q1, 2.0)]
     with pytest.raises(UnreachableTargetError, match="largest reachable mean interval is 3"):
-        threshold_for_mean(v, 3.6, cross_day=False)
+        threshold_for_mean(v, [3.6], cross_day=False)
     # across days the top candidate keeps the interval between the two largest
-    assert threshold_for_mean(v, 7.0) == (v.values[3], 7.0)
+    assert threshold_for_mean(v, [7.0]) == [(v.values[3], 7.0)]
 
 
 def test_threshold_for_mean_no_same_day_interval():
     v = _two_days(np.array([3.0, 1.0, 2.0]), [0, 1, 2])
     with pytest.raises(UnreachableTargetError, match="no threshold yields two exceedances"):
-        threshold_for_mean(v, 1.0, cross_day=False)
+        threshold_for_mean(v, [1.0], cross_day=False)

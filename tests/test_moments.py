@@ -16,6 +16,7 @@ from volint import (
     moment_curve,
     moment_vs_order,
 )
+from volint import moments
 from volint.moments import MomentCurve, _root_mean_pow
 
 TAU = np.array([1, 1, 2])
@@ -206,6 +207,24 @@ def test_moment_vs_order_passes_through_unity(iid_series):
     assert abs(curve.achieved_mean - 10.0) <= 0.5
     assert curve.mu_model.shape == curve.mu.shape
     assert curve.model.constrained
+
+
+def test_moment_vs_order_reads_every_target_from_one_search(iid_series, monkeypatch):
+    calls = {"threshold_for_mean": 0, "extract_intervals": 0}
+
+    def counting(name):
+        real = getattr(moments, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(moments, name, counting(name))
+    moment_vs_order(iid_series, mean_targets=(10.0, 30.0, 100.0), m_grid=[1.0, 2.0])
+    assert calls == {"threshold_for_mean": 1, "extract_intervals": 3}
 
 
 def test_ess_mu_matches_hand_value():

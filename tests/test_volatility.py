@@ -9,6 +9,7 @@ from volint import (
     DegeneratePatternError,
     EmptySeriesError,
     MinuteSeries,
+    NormVolSeries,
     TradingCalendar,
     VolSeries,
     ZeroVarianceError,
@@ -172,6 +173,14 @@ def test_normalize_uses_population_std_without_centering():
 def test_normalize_constant_series_fails():
     with pytest.raises(ZeroVarianceError):
         normalize(_flat([2.0, 2.0, 2.0]))
+
+
+def test_normalized_series_rejects_decreasing_day():
+    raw = np.array([1.0, 2.0, 3.0, 4.0])
+    values, slot = raw / np.std(raw), np.arange(571, 575)
+    assert len(NormVolSeries(values=values, day=np.array([0, 0, 1, 1]), slot=slot)) == 4
+    with pytest.raises(ValueError, match="day labels must not decrease"):
+        NormVolSeries(values=values, day=np.array([0, 1, 1, 0]), slot=slot)
 
 
 def test_normalize_requires_deseasonalized_stage():
