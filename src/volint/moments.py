@@ -16,8 +16,12 @@ as alpha and is linked to it by (alpha + 1) / n = xi(m, n) / m. With n = 1,
 which is what ``analyze`` writes, xi(m, 1) = m (1 + alpha) on the same
 points, so ``ess.csv`` restates ``alpha.csv``.
 
-Power means are evaluated directly, and rescaled by the largest interval
-when the direct sum over- or underflows.
+Intervals are whole minutes, so a sample is held as its counts: the
+distinct lengths k and how often each occurs, c_k. Every power mean is
+sum_k c_k (k / <tau>)**m / n over those few values, rescaled by the largest
+one when the direct sum over- or underflows. ``sweep_intervals`` extracts
+the intervals once per grid threshold and keeps only these counts, and
+``moment_curve`` and ``ess_xi`` read every order from one such sweep.
 """
 
 from __future__ import annotations
@@ -32,29 +36,39 @@ from .intervals import IntervalSample, extract_intervals, threshold_for_mean
 from .semodel import SEModel, analytic_moment, fit_mle
 
 
-def _tau_values(sample) -> np.ndarray:
+def _counts(sample) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct intervals as floats, how often each occurs) of an ``IntervalSample`` or a raw array."""
     if isinstance(sample, IntervalSample):
-        return sample.tau.astype(np.float64)
+        count = np.bincount(sample.tau)
+        k = np.flatnonzero(count)
+        return k.astype(np.float64), count[k]
     tau = np.asarray(sample, dtype=np.float64)
     if len(tau) == 0:
         raise ValueError("empty interval sample")
     if not np.all(np.isfinite(tau)) or np.any(tau <= 0):
         raise ValueError("intervals must be finite and positive")
-    return tau
+    return np.unique(tau, return_counts=True)
 
 
-def _root_mean_pow(tau: np.ndarray, m: float) -> float:
-    """<tau**m>**(1/m), rescaled by max(tau) when the direct mean over- or underflows.
+def _root_mean_pow(x: np.ndarray, m: float, count=None, starts=(0,)) -> np.ndarray:
+    """<x**m>**(1/m) over each run of x that begins at an index in ``starts``, x_i counted ``count[i]`` times.
 
-    The rescaled mean lies in [1/len(tau), 1] and the root never exceeds
-    max(tau), so the result is always finite.
+    One run by default, each value counted once when ``count`` is None. A
+    run whose direct mean over- or underflows is rescaled by its largest
+    value: the rescaled mean lies in [1/n, 1] and the root never exceeds
+    that value, so every result is finite.
     """
+    count = np.ones(len(x)) if count is None else count
+    n = np.add.reduceat(count, starts)
     with np.errstate(over="ignore"):
-        s = float(np.mean(tau**m))
-    if np.isfinite(s) and s > 0.0:
-        return float(s ** (1.0 / m))
-    top = float(tau.max())
-    return top * float(np.mean((tau / top) ** m)) ** (1.0 / m)
+        mean = np.add.reduceat(count * x**m, starts) / n
+    out = mean ** (1.0 / m)
+    ends = [*starts[1:], len(x)]
+    for i in np.flatnonzero(~(np.isfinite(mean) & (mean > 0.0))):
+        run = slice(starts[i], ends[i])
+        top = float(x[run].max())
+        out[i] = top * (float(count[run] @ (x[run] / top) ** m) / n[i]) ** (1.0 / m)
+    return out
 
 
 def empirical_moment(sample, m: float) -> float:
@@ -65,8 +79,8 @@ def empirical_moment(sample, m: float) -> float:
     """
     if m <= 0:
         raise ValueError("moment order must be positive")
-    tau = _tau_values(sample)
-    return _root_mean_pow(tau / tau.mean(), m)
+    k, count = _counts(sample)
+    return float(_root_mean_pow(k / (float(count @ k) / count.sum()), m, count)[0])
 
 
 def ess_mu(sample, m: float, n: float) -> float:
@@ -76,8 +90,8 @@ def ess_mu(sample, m: float, n: float) -> float:
     """
     if m <= 0 or n <= 0:
         raise ValueError("moment orders must be positive")
-    tau = _tau_values(sample)
-    return _root_mean_pow(tau, m) / _root_mean_pow(tau, n)
+    k, count = _counts(sample)
+    return float(_root_mean_pow(k, m, count)[0] / _root_mean_pow(k, n, count)[0])
 
 
 def _ols_slope(lx: np.ndarray, ly: np.ndarray) -> tuple[float, float]:
@@ -113,48 +127,68 @@ class MomentCurve:
         return len(self.q)
 
 
-def _sweep(v, orders: Sequence[float], q_grid: Sequence[float], cross_day: bool) -> list[MomentCurve]:
-    """``moment_curve`` for each of ``orders``, from one extraction per grid point."""
-    if any(m <= 0 for m in orders):
-        raise ValueError("moment orders must be positive")
-    qs, means, counts = [], [], []
-    mus: list[list[float]] = [[] for _ in orders]
-    dropped: list[tuple[float, str]] = []
+@dataclass(frozen=True, eq=False)
+class IntervalSweep:
+    """The intervals at the kept thresholds of a grid, as counts.
+
+    ``q``, ``mean_tau`` and ``n_intervals`` describe the kept thresholds,
+    <tau> strictly increasing. ``x`` and ``count`` hold, one threshold's run
+    after another, the distinct scaled intervals k / <tau> and how often
+    each occurs, and ``starts`` indexes where each run begins.
+    """
+
+    q: np.ndarray
+    mean_tau: np.ndarray
+    n_intervals: np.ndarray
+    x: np.ndarray
+    count: np.ndarray
+    starts: np.ndarray
+    dropped: tuple[tuple[float, str], ...]
+
+    def mu(self, m: float) -> np.ndarray:
+        """Root-moment mu_m at each kept threshold."""
+        return _root_mean_pow(self.x, m, self.count, self.starts)
+
+
+def sweep_intervals(v, q_grid: Sequence[float], cross_day: bool = True) -> IntervalSweep:
+    """Extract the intervals once per grid threshold and keep them as counts.
+
+    Grid points with fewer than two exceedances are dropped and noted in
+    ``dropped``, as are points whose <tau> does not strictly exceed the
+    previous kept one (ties happen when neighboring thresholds select
+    identical exceedance sets). Raises ``InsufficientPointsError`` if
+    nothing survives.
+    """
+    kept, dropped = [], []
     for q in sorted(float(q) for q in q_grid):
         try:
             s = extract_intervals(v, q, cross_day=cross_day)
         except InsufficientEventsError as e:
             dropped.append((q, str(e)))
             continue
-        mean = s.mean_interval
-        if means and mean <= means[-1]:
+        if kept and s.mean_interval <= kept[-1][1]:
             dropped.append((q, "mean interval did not increase"))
             continue
-        qs.append(q)
-        means.append(mean)
-        counts.append(len(s))
-        for mu, m in zip(mus, orders):
-            mu.append(empirical_moment(s, m))
-    if not qs:
+        k, count = _counts(s)
+        kept.append((q, s.mean_interval, len(s), k / s.mean_interval, count))
+    if not kept:
         raise InsufficientPointsError("no grid threshold produced two exceedances")
-    q_arr, mean_arr, count_arr = np.array(qs), np.array(means), np.array(counts)
-    return [
-        MomentCurve(
-            m=m, q=q_arr, mean_tau=mean_arr, mu=np.array(mu), n_intervals=count_arr, dropped=tuple(dropped)
-        )
-        for m, mu in zip(orders, mus)
-    ]
+    q, mean, size, x, count = zip(*kept)
+    starts = np.cumsum([0, *map(len, x[:-1])])
+    table = (*map(np.array, (q, mean, size)), np.concatenate(x), np.concatenate(count), starts)
+    return IntervalSweep(*table, tuple(dropped))
 
 
-def moment_curve(v, m: float, q_grid: Sequence[float], cross_day: bool = True) -> MomentCurve:
-    """Sweep thresholds and record (q, <tau>, mu_m).
+def moment_curve(v, m: float, q_grid: Sequence[float] | None = None, cross_day: bool = True) -> MomentCurve:
+    """(q, <tau>, mu_m) along the thresholds of ``sweep_intervals(v, q_grid, cross_day)``.
 
-    Grid points with fewer than two exceedances are dropped and noted, as
-    are points whose <tau> does not strictly exceed the previous kept one
-    (ties happen when neighboring thresholds select identical exceedance
-    sets). Raises ``InsufficientPointsError`` if nothing survives.
+    ``v`` may also be an ``IntervalSweep`` already made, which fixes the
+    grid and ``cross_day``.
     """
-    return _sweep(v, (m,), q_grid, cross_day)[0]
+    if m <= 0:
+        raise ValueError("moment orders must be positive")
+    sweep = v if isinstance(v, IntervalSweep) else sweep_intervals(v, q_grid, cross_day)
+    return MomentCurve(m, sweep.q, sweep.mean_tau, sweep.mu(m), sweep.n_intervals, sweep.dropped)
 
 
 def _region_mask(mean_tau: np.ndarray, region: tuple[float, float]) -> np.ndarray:
@@ -207,21 +241,24 @@ def ess_xi(
     v,
     m: float,
     n: float,
-    q_grid: Sequence[float],
+    q_grid: Sequence[float] | None = None,
     region: tuple[float, float] = (10.0, 100.0),
     cross_day: bool = True,
 ) -> EssReport:
     """Regress log<tau**m> on log<tau**n> across the swept thresholds in the region.
 
-    The points are those ``fit_alpha`` takes from ``moment_curve`` on the
-    same grid. Also reports alpha = xi(m, 1) / m - 1 and the identity check
+    ``v`` is a series or an ``IntervalSweep``, as for ``moment_curve``, and
+    the points are those ``fit_alpha`` takes from ``moment_curve`` on the
+    same sweep. Also reports alpha = xi(m, 1) / m - 1 and the identity check
     (alpha + 1) / n - xi(m, n) / m, which is 0 by construction when n = 1.
     """
+    if m <= 0 or n <= 0:
+        raise ValueError("moment orders must be positive")
+    sweep = v if isinstance(v, IntervalSweep) else sweep_intervals(v, q_grid, cross_day)
+    mask = _region_mask(sweep.mean_tau, region)
     # the last order is 1, so the n = 1 regression doubles as the alpha one
     orders = (m, n) if n == 1.0 else (m, n, 1.0)
-    curves = _sweep(v, orders, q_grid, cross_day)
-    mask = _region_mask(curves[0].mean_tau, region)
-    logs = [c.m * np.log(c.mu[mask] * c.mean_tau[mask]) for c in curves]
+    logs = [o * np.log(sweep.mu(o)[mask] * sweep.mean_tau[mask]) for o in orders]
     xi, stderr = _ols_slope(logs[1], logs[0])
     alpha = _ols_slope(logs[-1], logs[0])[0] / m - 1.0
     return EssReport(

@@ -47,7 +47,7 @@ from .ingest import (
 )
 from .intervals import IntervalSample, empirical_cdf, extract_intervals, scaled_pdf
 from .kstest import bootstrap_pvalue, ks_matrix
-from .moments import ess_xi, fit_alpha, moment_curve, moment_vs_order
+from .moments import ess_xi, fit_alpha, moment_curve, moment_vs_order, sweep_intervals
 from .semodel import FitReport, fit_lsq, fit_mle
 from .volatility import (
     IntradayPattern,
@@ -96,6 +96,14 @@ def _write_volatility_csv(days: Sequence[str], v: NormVolSeries, path: Path) -> 
             d = days[v.day[a]]
             heads = [d + slot[s] for s in v.slot[a:b].tolist()]
             fh.write("\n".join(map(add, heads, map(repr, v.values[a:b].tolist()))) + "\n")
+
+
+def _write_intervals_csv(samples: Sequence[IntervalSample], path: Path) -> None:
+    """Write ``q,tau`` rows, the bytes ``write_rows`` would write, one string per threshold."""
+    with open(path, "w", newline="") as fh:
+        fh.write("q,tau\n")
+        for s in samples:
+            fh.write("\n".join(map((repr(float(s.q)) + ",").__add__, map(str, s.tau.tolist()))) + "\n")
 
 
 def _write_json(obj, path: Path) -> None:
@@ -259,7 +267,7 @@ def stage_intervals(cfg: RunConfig, ctx: dict) -> dict[str, Artifact]:
         {"q": s.q, "n_intervals": len(s), "mean_interval": s.mean_interval} for s in samples
     ]
     return {
-        "intervals.csv": (["q", "tau"], ((s.q, int(t)) for s in samples for t in s.tau)),
+        "intervals.csv": partial(_write_intervals_csv, samples),
         "pdf.csv": (
             ["q", "x", "density", "count"],
             (
@@ -291,13 +299,10 @@ def stage_fit(cfg: RunConfig, ctx: dict) -> dict[str, Artifact]:
 
 
 def stage_moments(cfg: RunConfig, ctx: dict) -> dict[str, Artifact]:
-    v, grid = ctx["series"], cfg.q_grid
-    curves = [moment_curve(v, m, grid, cross_day=cfg.cross_day) for m in cfg.moment_orders]
+    sweep = sweep_intervals(ctx["series"], cfg.q_grid, cross_day=cfg.cross_day)
+    curves = [moment_curve(sweep, m) for m in cfg.moment_orders]
     alphas = [fit_alpha(c, region=cfg.region) for c in curves]
-    esses = [
-        ess_xi(v, m, 1.0, grid, region=cfg.region, cross_day=cfg.cross_day)
-        for m in cfg.moment_orders
-    ]
+    esses = [ess_xi(sweep, m, 1.0, region=cfg.region) for m in cfg.moment_orders]
     summary = ctx["summary"]
     summary["alpha"] = [
         {"m": c.m, "alpha": a.alpha, "stderr": a.stderr, "n_points": a.n_points}

@@ -32,9 +32,10 @@ gamma, a(gamma) = n / (gamma * sum(x**gamma)), so ``fit_mle`` maximizes the
 profile likelihood over gamma alone: its score in gamma is a closed form in
 the x**gamma-weighted moments of log x and in digamma and trigamma at
 1/gamma, and a safeguarded Newton search finds its root. The censored
-likelihood and the least-squares fit are profiled over gamma too, with the
-inner maximum found by Newton's method and by linear least squares, and
-both searches run one bounded minimiser, Brent's.
+likelihood has no closed-form a(gamma), so safeguarded Newton runs in
+(log a, gamma) jointly, with the gradient and Hessian in closed form at the
+same quadrature nodes. The least-squares fit is profiled over gamma, with
+(log c, a) a linear fit at each gamma, by golden-section search.
 """
 
 from __future__ import annotations
@@ -50,8 +51,14 @@ from .intervals import PdfTable
 
 GAMMA_BOUNDS = (0.05, 2.0)
 _EPS = float(np.finfo(np.float64).eps)
-# 12-point Gauss-Legendre rule on [-1, 1] for the lattice cell masses
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# 12-point Gauss-Legendre rule on [-1, 1] for the lattice cell masses: the
+# values of numpy.polynomial.legendre.leggauss(12), whose import costs ~2 MiB
+_GL_NODES = np.array([-0.9815606342467192, -0.9041172563704748, -0.7699026741943047, -0.5873179542866175,
+                      -0.3678314989981802, -0.1252334085114689, 0.1252334085114689, 0.3678314989981802,
+                      0.5873179542866175, 0.7699026741943047, 0.9041172563704748, 0.9815606342467192])  # fmt: skip
+_GL_WEIGHTS = np.array([0.04717533638651141, 0.10693932599531907, 0.16007832854334642, 0.20316742672306573,
+                        0.2334925365383546, 0.2491470458134027, 0.2491470458134027, 0.2334925365383546,
+                        0.20316742672306573, 0.16007832854334642, 0.10693932599531907, 0.04717533638651141])  # fmt: skip
 # a cell wider than this in u = a x**gamma is beyond the rule's accuracy
 _WIDE_CELL = 8.0
 
@@ -293,126 +300,47 @@ def _profile_nll(g: float, shifted_log_x: np.ndarray, top: float) -> float:
     return -len(shifted_log_x) * (np.log(g) + (log_a - 1.0) / g - math.lgamma(1.0 / g))
 
 
-def _minimize_bounded(func, bounds, args, xatol):
-    """Minimize func(x, *args) over [lo, hi] by Brent's bounded search.
+def _edge_log_p(s: float, u_lo: np.ndarray, u_hi: np.ndarray) -> np.ndarray:
+    """log(Q(s, u_lo) - Q(s, u_hi)), from log P(s, u_hi) for the first cell (u_lo = 0) and log P or Q otherwise."""
+    log_p = np.empty(len(u_hi))
+    first = u_lo == 0.0
+    for i in np.flatnonzero(first):  # the cells are distinct, so at most one
+        u1 = float(u_hi[i])
+        log_p[i] = _log_series(s, u1) if u1 < s + 1.0 else math.log(-math.expm1(_log_fraction(s, u1)))
+    if not np.all(first):
+        low, v = _gammainc_logs(s, np.concatenate([u_lo[~first], u_hi[~first]]))
+        log_lower, log_upper = np.split(np.where(low, np.log1p(-np.exp(v)), v), 2)
+        log_p[~first] = log_lower + np.log(-np.expm1(log_upper - log_lower))
+    return log_p
 
-    A port of scipy 1.17's ``optimize.minimize_scalar(method="bounded")``
-    (Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 5),
-    with the same golden-section and parabolic steps, tolerances and
-    comparisons, numpy scalar types and limit of 500 evaluations, so it
-    evaluates ``func`` at the same points. The bounds themselves are never
-    evaluated.
 
-    Returns
-    -------
-    tuple
-        (x, func(x), number of evaluations) at the best point found.
+def _cell_terms(a: float, g: float, k: np.ndarray, h: float):
+    """log of the model's mass in each cell ((k-1) h, k h], with the terms its derivatives need.
+
+    A cell holds c times the integral of exp(-a x**gamma) over it, by
+    Gauss-Legendre quadrature, with each row's smallest u = a x**gamma
+    factored out so nothing underflows. The first cell and any cell wider
+    than ``_WIDE_CELL`` in u take ``_edge_log_p``: there the difference
+    cannot cancel, and the quadrature would lose accuracy. Returns (log p,
+    u at (k-1) h, u at k h, u at the nodes, each node's share of its cell's
+    mass, mask of the ``_edge_log_p`` cells).
     """
-    sqrt_eps = np.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
-    a, b = bounds
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf, *args)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while np.abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if np.abs(e) > tol1:
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r = e
-            e = rat
-            if np.abs(p) < np.abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
-            else:
-                golden = True
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
-        fu = func(x, *args)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return xf, fx, num
-
-
-def _bounded_min(func, bounds, args=()) -> tuple[float, float]:
-    """(x, func(x)) at the lowest of Brent's optimum on [lo, hi] and the two bounds.
-
-    An xatol of 1e-10, far below scipy's default 1e-5, leaves only the
-    search's relative floor, a few 1e-8 * x, between the result and the
-    optimum; the search only approaches the bounds, so they are tried as
-    well.
-    """
-    x, fx, _ = _minimize_bounded(func, bounds, args, xatol=1e-10)
-    return min([(float(x), float(fx))] + [(b, func(b, *args)) for b in bounds], key=lambda t: t[1])
-
-
-def _cell_log_p(a: float, g: float, k: np.ndarray, h: float):
-    """log of the model's mass in each cell ((k-1) h, k h], and the edges u = a x**gamma.
-
-    The first cell holds P(1/gamma, a h**gamma). Any other cell holds c
-    times the integral of exp(-a x**gamma) over it, by Gauss-Legendre
-    quadrature, with each row's smallest u factored out so nothing
-    underflows. A cell wider than ``_WIDE_CELL`` in u takes the difference
-    of log Q at its edges instead: that difference cannot cancel, and the
-    quadrature would lose accuracy.
-
-    Returns (log p, u at (k-1) h, u at k h).
-    """
-    s = 1.0 / g
     u_lo = a * ((k - 1.0) * h) ** g
     u_hi = a * (k * h) ** g
     u = a * (((k - 0.5) * h)[:, None] + (0.5 * h) * _GL_NODES) ** g
-    u_min = u[:, 0]
-    log_ch = math.log(g) + math.log(a) / g - math.lgamma(s) + math.log(0.5 * h)
-    log_p = np.log(np.exp(u_min[:, None] - u) @ _GL_WEIGHTS) + log_ch - u_min
-    first = k == 1
-    for i in np.flatnonzero(first):  # k holds distinct cells, so at most one
-        u1 = float(u_hi[i])
-        log_p[i] = _log_series(s, u1) if u1 < s + 1.0 else math.log(-math.expm1(_log_fraction(s, u1)))
-    wide = (u_hi - u_lo > _WIDE_CELL) & ~first
-    if np.any(wide):
-        low, v = _gammainc_logs(s, np.concatenate([u_lo[wide], u_hi[wide]]))
-        log_lower, log_upper = np.split(np.where(low, np.log1p(-np.exp(v)), v), 2)
-        log_p[wide] = log_lower + np.log(-np.expm1(log_upper - log_lower))
-    return log_p, u_lo, u_hi
+    mass = np.exp(u[:, :1] - u) * _GL_WEIGHTS
+    total = np.sum(mass, axis=1)
+    log_ch = math.log(g) + math.log(a) / g - math.lgamma(1.0 / g) + math.log(0.5 * h)
+    log_p = np.log(total) + log_ch - u[:, 0]
+    edge = (k == 1) | (u_hi - u_lo > _WIDE_CELL)
+    if np.any(edge):
+        log_p[edge] = _edge_log_p(1.0 / g, u_lo[edge], u_hi[edge])
+    return log_p, u_lo, u_hi, u, mass / total[:, None], edge
+
+
+def _cell_log_p(a: float, g: float, k: np.ndarray, h: float):
+    """(log p, u at (k-1) h, u at k h) of ``_cell_terms``."""
+    return _cell_terms(a, g, k, h)[:3]
 
 
 def _censored_nll(params: np.ndarray, k: np.ndarray, count: np.ndarray, h: float) -> float:
@@ -423,65 +351,102 @@ def _censored_nll(params: np.ndarray, k: np.ndarray, count: np.ndarray, h: float
     return -float(np.dot(count, _cell_log_p(a, g, k, h)[0]))
 
 
-def _censored_profile(g: float, k: np.ndarray, count: np.ndarray, h: float, t: float):
-    """Maximize the censored likelihood over t = log a at fixed gamma, by Newton from t.
+def _t_derivs(s: float, u_lo: np.ndarray, u_hi: np.ndarray, log_p: np.ndarray):
+    """First and second derivatives of each cell's log p in t = log a, from its edges.
 
-    With s = 1/gamma, u = a x**gamma and psi(u) = u**s e**-u / Gamma(s), a
-    cell's mass moves as dp/dt = psi(u_hi) - psi(u_lo), and dpsi/dt =
-    psi (s - u), so both derivatives of the log-likelihood are closed forms
-    in the ratios psi/p, taken in log space. The log-likelihood is concave
-    in t (log u of a Gamma variate has a log-concave density), but far from
-    the optimum a Newton step can be huge or, where rounding leaves the
-    curvature non-negative, point downhill; each step is therefore capped
-    at 1 in t and made uphill.
-
-    Returns
-    -------
-    tuple
-        (negative log-likelihood, t) at the last iterate, the value equal
-        to ``_censored_nll`` at (exp(t), gamma).
+    With psi(u) = u**s e**-u / Gamma(s), dp/dt = psi(u_hi) - psi(u_lo) and
+    dpsi/dt = psi (s - u): closed forms in the ratios psi/p, in log space.
     """
-    s = 1.0 / g
-    log_gamma_s = math.lgamma(s)
+    with np.errstate(divide="ignore"):
+        r_lo = np.exp(s * np.log(u_lo) - u_lo - math.lgamma(s) - log_p)
+        r_hi = np.exp(s * np.log(u_hi) - u_hi - math.lgamma(s) - log_p)
+    d_t = r_hi - r_lo
+    return d_t, r_hi * (s - u_hi) - r_lo * (s - u_lo) - d_t * d_t
+
+
+def _censored_derivs(t: float, g: float, free: bool, k: np.ndarray, count: np.ndarray, h: float, log_x: np.ndarray):
+    """Censored log-likelihood at (t = log a, gamma), with its gradient and Hessian.
+
+    Per quadrature node, log f = log gamma + s t - lgamma(s) - u, with
+    s = 1/gamma, u = e**t x**gamma and L = log x (``log_x``), so
+
+        d/dt log f = s - u,                 d2/dt2 = -u,
+        d/dgamma log f = s - (t - psi(s)) s**2 - u L,
+        d2/dt dgamma = -s**2 - u L,
+        d2/dgamma2 = -s**2 + 2 (t - psi(s)) s**3 - psi'(s) s**4 - u L**2.
+
+    A cell's log p, the log of a weighted sum of f, has as gradient the
+    node-share mean of the first derivatives and as Hessian the mean of the
+    second plus the share covariance of the first. ``_edge_log_p`` cells
+    take their t derivatives from ``_t_derivs`` and their gamma derivatives
+    by central differences. Returns (log-likelihood, (d/dt, d/dgamma),
+    (d2/dt2, d2/dt dgamma, d2/dgamma2)); unless gamma is ``free`` the gamma
+    parts are 0, with a gamma curvature of -1, so that only t moves.
+    """
+    s, a = 1.0 / g, math.exp(t)
+    log_p, u_lo, u_hi, u, w, edge = _cell_terms(a, g, k, h)
+    m_u = np.sum(w * u, axis=1)
+    du = u - m_u[:, None]
+    d_t, d_tt = s - m_u, np.sum(w * du * du, axis=1) - m_u
+    if np.any(edge):
+        d_t[edge], d_tt[edge] = _t_derivs(s, u_lo[edge], u_hi[edge], log_p[edge])
+    ll = float(count @ log_p)
+    if not free:
+        return ll, (float(count @ d_t), 0.0), (float(count @ d_tt), 0.0, -1.0)
+    ul = u * log_x
+    m_ul = np.sum(w * ul, axis=1)
+    dul = ul - m_ul[:, None]
+    r = (t - digamma(s)) * s * s
+    d_g = s - r - m_ul
+    d_tg = np.sum(w * du * dul, axis=1) - m_ul - s * s
+    d_gg = np.sum(w * (dul * dul - ul * log_x), axis=1) - s * s + 2.0 * r * s - trigamma(s) * s**4
+    if np.any(edge):
+        x_lo, x_hi, step = (k[edge] - 1.0) * h, k[edge] * h, 1e-5 * g
+        sides = []
+        for gi in (g - step, g + step):
+            side_lo, side_hi = a * x_lo**gi, a * x_hi**gi
+            side_p = _edge_log_p(1.0 / gi, side_lo, side_hi)
+            sides.append((side_p, _t_derivs(1.0 / gi, side_lo, side_hi, side_p)[0]))
+        (p_minus, t_minus), (p_plus, t_plus) = sides
+        d_g[edge] = (p_plus - p_minus) / (2.0 * step)
+        d_gg[edge] = (p_plus - 2.0 * log_p[edge] + p_minus) / step**2
+        d_tg[edge] = (t_plus - t_minus) / (2.0 * step)
+    return ll, (float(count @ d_t), float(count @ d_g)), tuple(float(count @ d) for d in (d_tt, d_tg, d_gg))
+
+
+def _censored_newton(t: float, g: float, free: bool, args: tuple) -> tuple[float, float, float]:
+    """Maximize the censored likelihood from (t = log a, gamma) by safeguarded Newton.
+
+    A step solves the 2x2 Newton system where the Hessian is negative
+    definite and follows the gradient elsewhere. It moves t alone where
+    gamma is not ``free``, or sits on a bound of GAMMA_BOUNDS that the step
+    would leave (the likelihood is concave in t). Each step is capped at 1
+    in t and 1/4 in gamma, and halved until the likelihood does not fall by
+    more than rounding. A step below 1e-8 in t and 1e-8 gamma in gamma is
+    the last, taken without a new pass: Newton's quadratic convergence
+    leaves only rounding after it. ``args`` is (k, count, h, log x at the
+    quadrature nodes). Returns the log-likelihood at the last iterate
+    evaluated, and (t, gamma) after the last step.
+    """
+    lo, hi = GAMMA_BOUNDS
+    ll, (g_t, g_g), (h_tt, h_tg, h_gg) = _censored_derivs(t, g, free, *args)
     for _ in range(100):
-        log_p, u_lo, u_hi = _cell_log_p(np.exp(t), g, k, h)
-        with np.errstate(divide="ignore"):
-            r_lo = np.exp(s * np.log(u_lo) - u_lo - log_gamma_s - log_p)
-            r_hi = np.exp(s * np.log(u_hi) - u_hi - log_gamma_s - log_p)
-        dp = r_hi - r_lo
-        d1 = float(np.dot(count, dp))
-        d2 = float(np.dot(count, r_hi * (s - u_hi) - r_lo * (s - u_lo) - dp * dp))
-        step = min(max(-d1 / d2 if d2 < 0 else float(np.sign(d1)), -1.0), 1.0)
-        if not abs(step) > 1e-10:  # converged, or the derivatives are NaN
-            break
-        t += step
-    return -float(np.dot(count, log_p)), t
-
-
-def _fit_censored(x: np.ndarray, k: np.ndarray, count: np.ndarray, h: float) -> SEModel:
-    """Censored MLE: Brent over gamma in GAMMA_BOUNDS, Newton in log a at each gamma.
-
-    The first Newton run starts from the continuous a(gamma) of the values
-    x, each later one from the previous optimum.
-    """
-    t_at: dict[float, float] = {}
-    t_warm = None
-
-    def nll(g: float) -> float:
-        nonlocal t_warm
-        start = float(np.log(_profile_a(g, x**g))) if t_warm is None else t_warm
-        value, t = _censored_profile(g, k, count, h, start)
-        if not np.isfinite(value):
-            return np.inf
-        t_at[g] = t_warm = t
-        return value
-
-    g, value = _bounded_min(nll, GAMMA_BOUNDS)
-    with np.errstate(over="ignore"):
-        a = float(np.exp(t_at[g])) if g in t_at else np.nan
-    if not (np.isfinite(value) and 0.0 < a < np.inf):
-        raise FitFailureError("censored likelihood has no finite optimum", best=(a, g))
-    return SEModel.normalized(a=a, gamma=g)
+        det = h_tt * h_gg - h_tg * h_tg
+        dt, dg = ((h_tg * g_g - h_gg * g_t) / det, (h_tg * g_t - h_tt * g_g) / det) if h_tt < 0 < det else (g_t, g_g)
+        if (g <= lo and dg < 0) or (g >= hi and dg > 0):
+            dt, dg = -g_t / h_tt if h_tt < 0 else g_t, 0.0
+        scale = 1.0 / max(1.0, abs(dt), 4.0 * abs(dg))
+        dt, dg = dt * scale, dg * scale
+        while abs(dt) > 1e-8 or abs(dg) > 1e-8 * g:
+            trial = _censored_derivs(t + dt, min(max(g + dg, lo), hi), free, *args)
+            if trial[0] >= ll - 1e-13 * abs(ll):
+                break
+            dt, dg = 0.5 * dt, 0.5 * dg
+        else:  # converged: the step left is below rounding in the likelihood; or NaN derivatives
+            return (ll, t + dt, min(max(g + dg, lo), hi)) if math.isfinite(dt + dg) else (ll, t, g)
+        t, g = t + dt, min(max(g + dg, lo), hi)
+        ll, (g_t, g_g), (h_tt, h_tg, h_gg) = trial
+    return ll, t, g
 
 
 def fit_mle(sample: np.ndarray) -> SEModel:
@@ -496,10 +461,11 @@ def fit_mle(sample: np.ndarray) -> SEModel:
     ``IntervalSample.scaled()`` returns, each value x = k h counts as a
     continuous value censored to ((k-1) h, k h] and the likelihood is
     sum_k c_k log(S((k-1) h) - S(k h)), with c_k the number of values equal
-    to k h and S the model's survival function. It is profiled in gamma
-    too, by a bounded Brent search over gamma in [0.05, 2] (bounds
-    included), with the best log a at each gamma found by Newton's method
-    on the distinct cells (k, c_k), from closed-form derivatives.
+    to k h and S the model's survival function. It is maximized over
+    (log a, gamma) by safeguarded Newton on the distinct cells (k, c_k),
+    with a closed-form gradient and Hessian, from the continuous fit of the
+    same values; the best log a at either bound of [0.05, 2] wins if its
+    likelihood is higher.
 
     Parameters
     ----------
@@ -537,10 +503,25 @@ def fit_mle(sample: np.ndarray) -> SEModel:
     k, count = np.unique(k, return_counts=True)
     if len(k) < 2:
         raise FitFailureError("all values in one lattice cell: the likelihood has no interior maximum")
-    return _fit_censored(x, k, count, float(step))
+    # the joint Newton run, then t alone at each bound, each from the continuous a(gamma) of its gamma
+    h = float(step)
+    log_k = np.log(k)
+    root = _profile_score_root(log_k - float(log_k[-1]), count)
+    args = (k, count, h, np.log(((k - 0.5) * h)[:, None] + (0.5 * h) * _GL_NODES))
+    lo, hi = GAMMA_BOUNDS
+    runs = [
+        _censored_newton(float(np.log(_profile_a(g, x**g))), g, free, args)
+        for g, free in ((root, True), (lo, False), (hi, False))
+    ]
+    ll, t, g = max(runs, key=lambda run: run[0] if np.isfinite(run[0]) else -np.inf)
+    with np.errstate(over="ignore"):
+        a = float(np.exp(t))
+    if not (np.isfinite(ll) and 0.0 < a < np.inf):
+        raise FitFailureError("censored likelihood has no finite optimum", best=(a, g))
+    return SEModel.normalized(a=a, gamma=g)
 
 
-def _profile_score_root(shifted_log_x: np.ndarray) -> float:
+def _profile_score_root(shifted_log_x: np.ndarray, count: np.ndarray | None = None) -> float:
     """Root in GAMMA_BOUNDS of the continuous profile score, by safeguarded Newton.
 
     Per value, the profile log-likelihood is l = log gamma + (log a(gamma) -
@@ -560,16 +541,17 @@ def _profile_score_root(shifted_log_x: np.ndarray) -> float:
     is taken when l'' < 0 and it lands inside the bracket of gammas where
     l' changed sign, which starts as GAMMA_BOUNDS; otherwise the bracket is
     bisected. The search stops at a step below 1e-10 gamma, from which
-    Newton's quadratic convergence leaves only rounding.
+    Newton's quadratic convergence leaves only rounding. ``count``, when
+    given, is how often each value occurs.
     """
-    n = len(shifted_log_x)
+    n = len(shifted_log_x) if count is None else int(np.sum(count))
     sq = shifted_log_x * shifted_log_x
     lo, hi = GAMMA_BOUNDS
-    b = float(np.var(shifted_log_x)) - 0.5
+    b = float(np.var(shifted_log_x) if count is None else np.cov(shifted_log_x, fweights=count, bias=True)) - 0.5
     disc = b * b - 2.0 / 3.0
     g = min(max(2.0 / (b + math.sqrt(disc)), lo), hi) if disc > 0 else hi
     for _ in range(100):
-        w = np.exp(g * shifted_log_x)
+        w = np.exp(g * shifted_log_x) if count is None else count * np.exp(g * shifted_log_x)
         total = float(np.sum(w))
         m1 = float(w @ shifted_log_x) / total
         var = float(w @ sq) / total - m1 * m1
@@ -617,6 +599,19 @@ def _lsq_fit(g: float, xc: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray
     return float(np.sum((y - design @ coef) ** 2)), coef
 
 
+def _golden_min(func, lo: float, hi: float) -> float:
+    """Minimizer of func on [lo, hi] by golden-section search to a bracket 1e-10 wide, or an end if lower."""
+    r = 0.5 * (math.sqrt(5.0) - 1.0)
+    a, b = lo, hi
+    while b - a > 1e-10:
+        c, d = b - r * (b - a), a + r * (b - a)
+        if func(c) <= func(d):
+            b = d
+        else:
+            a = c
+    return min((0.5 * (a + b), lo, hi), key=func)
+
+
 def fit_lsq(pdf: PdfTable) -> SEModel:
     """Least-squares fit of (c, a, gamma) to a log-binned density.
 
@@ -625,7 +620,8 @@ def fit_lsq(pdf: PdfTable) -> SEModel:
     result is marked ``constrained=False``. At fixed gamma the model is
     linear in (log c, a), so the sum of squares is profiled over gamma
     (variable projection): a 40-point gamma grid finds the best decaying
-    grid point, and a bounded search between its two neighbours refines it.
+    grid point, and a golden-section search between its two neighbours
+    refines it.
 
     Raises
     ------
@@ -651,7 +647,7 @@ def fit_lsq(pdf: PdfTable) -> SEModel:
     if not decaying:
         raise FitFailureError("no decaying start point found; density may be increasing")
     i = min(decaying, key=lambda j: scan[j][0])
-    g, _ = _bounded_min(sse, (float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)])))
+    g = _golden_min(sse, float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)]))
     log_c, a = map(float, _lsq_fit(g, xc, y)[1])
     decay = a * (float(xc[-1]) ** g - float(xc[0]) ** g)
     if a <= 1e-12 or decay <= 1e-6:

@@ -87,3 +87,12 @@ def test_cli_and_iid_synth_load_no_scipy(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_cli_loads_no_numpy_polynomial():
+    # the Gauss-Legendre rule is written out, so no analyze process pays for numpy.polynomial
+    code = "import sys, volint.cli; print('numpy.polynomial' in sys.modules)"
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -16,8 +16,9 @@ from volint import (
     moment_curve,
     moment_vs_order,
 )
-from volint import moments
-from volint.moments import MomentCurve, _root_mean_pow
+from volint import moments, validate_config
+from volint.moments import MomentCurve, _root_mean_pow, sweep_intervals
+from volint.pipeline import stage_moments
 
 TAU = np.array([1, 1, 2])
 
@@ -231,3 +232,47 @@ def test_ess_mu_matches_hand_value():
     np.testing.assert_allclose(
         ess_mu(TAU, 2.0, 1.0), np.float64(1.125) ** 0.5, rtol=1e-10
     )
+
+
+def test_count_kernel_matches_direct_power_mean():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        tau = rng.integers(1, rng.integers(2, 3_000), size=rng.integers(2, 2_000))
+        sample = IntervalSample(q=1.0, tau=tau, source_length=int(tau.sum()) + 1)
+        for m in (0.25, 0.5, 1.5, 2.0, 3.0):
+            ref = np.mean((tau / tau.mean()) ** m) ** (1.0 / m)
+            assert abs(empirical_moment(sample, m) / ref - 1.0) < 1e-13
+            assert abs(empirical_moment(tau, m) / ref - 1.0) < 1e-13
+    v = _series_for_sweep()
+    sweep = sweep_intervals(v, np.arange(1.0, 4.01, 0.1))
+    for m in (0.25, 2.0, 3.0):
+        taus = [extract_intervals(v, q).tau for q in sweep.q]
+        ref = [np.mean((tau / tau.mean()) ** m) ** (1.0 / m) for tau in taus]
+        np.testing.assert_allclose(sweep.mu(m), ref, rtol=1e-13, atol=0)
+
+
+def test_moment_stage_extracts_each_grid_threshold_once(iid_series, monkeypatch):
+    seen = []
+    real = moments.extract_intervals
+
+    def counting(v, q, *args, **kwargs):
+        seen.append(q)
+        return real(v, q, *args, **kwargs)
+
+    monkeypatch.setattr(moments, "extract_intervals", counting)
+    cfg = validate_config({})
+    stage_moments(cfg, {"series": iid_series, "summary": {}})
+    assert len(cfg.q_grid) == 41
+    assert sorted(seen) == sorted(cfg.q_grid.tolist())
+
+
+def test_curves_from_a_sweep_equal_curves_from_the_series():
+    v = _series_for_sweep()
+    grid = np.arange(1.0, 4.01, 0.1)
+    sweep = sweep_intervals(v, grid, cross_day=True)
+    for m in (0.5, 2.0):
+        a, b = moment_curve(v, m, grid), moment_curve(sweep, m)
+        for field in ("q", "mean_tau", "mu", "n_intervals"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert a.dropped == b.dropped
+        assert ess_xi(v, m, 1.0, grid, region=(5.0, 200.0)) == ess_xi(sweep, m, 1.0, region=(5.0, 200.0))

@@ -15,7 +15,14 @@ import pytest
 from volint import ConfigError, StageError, derive_seed, run_analyze, validate_config
 from volint.cli import main
 from volint.ingest import write_minute_csv
-from volint.pipeline import _write_volatility_csv, build_volatility, load_minutes, write_rows
+from volint.intervals import IntervalSample
+from volint.pipeline import (
+    _write_intervals_csv,
+    _write_volatility_csv,
+    build_volatility,
+    load_minutes,
+    write_rows,
+)
 
 ARTIFACTS = [
     "alpha.csv",
@@ -175,6 +182,19 @@ def test_volatility_csv_bytes_match_write_rows(tmp_path):
     expected = io.StringIO()
     write_rows(expected, ["day", "slot", "v"], rows)
     assert (tmp_path / "volatility.csv").read_bytes() == expected.getvalue().encode()
+
+
+def test_intervals_csv_bytes_match_write_rows(tmp_path):
+    # thresholds whose repr takes an exponent, all 17 digits or a trailing .0
+    taus = ([1, 12, 3], [7], [123456789, 1, 1])
+    samples = [
+        IntervalSample(q=q, tau=np.array(t, dtype=np.int64), source_length=10)
+        for q, t in zip((1e-300, 1.0 / 3.0, 2.0), taus)
+    ]
+    _write_intervals_csv(samples, tmp_path / "intervals.csv")
+    expected = io.StringIO()
+    write_rows(expected, ["q", "tau"], ((s.q, int(t)) for s in samples for t in s.tau))
+    assert (tmp_path / "intervals.csv").read_bytes() == expected.getvalue().encode()
 
 
 def _assert_no_child_left():

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 from scipy.special import digamma, gammainc, gammaincc, gammaincinv, gammaln, polygamma
 
 import volint.semodel
@@ -26,12 +25,15 @@ from volint import (
 )
 from volint.intervals import scaled_pdf
 from volint.semodel import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     _WIDE_CELL,
     GAMMA_BOUNDS,
     _cell_log_p,
+    _cell_terms,
+    _censored_derivs,
     _censored_nll,
     _gammainc,
-    _minimize_bounded,
     _profile_nll,
 )
 
@@ -267,30 +269,6 @@ def test_fit_mle_censored_far_tail_stays_finite():
     assert 0.05 <= fitted.gamma <= 2.0
 
 
-def _profile_case():
-    log_x = np.log(SEModel.normalized(5.79, 0.43).sample(2_000, seed=0))
-    return _profile_nll, GAMMA_BOUNDS, (log_x - log_x.max(), float(log_x.max()))
-
-
-@pytest.mark.parametrize("xatol", [1e-5, 1e-10])
-@pytest.mark.parametrize(
-    "case",
-    [
-        lambda: (lambda x: (x - 0.7) ** 2 + 1.0, (-2.0, 3.0), ()),
-        lambda: (np.exp, (0.5, 2.0), ()),  # the minimum sits on the lower bound
-        _profile_case,
-    ],
-    ids=["quadratic", "on_bound", "profile_nll"],
-)
-def test_bounded_minimiser_matches_scipy(case, xatol):
-    func, bounds, args = case()
-    ref = minimize_scalar(func, bounds=bounds, args=args, method="bounded", options={"xatol": xatol})
-    x, fun, nfev = _minimize_bounded(func, bounds, args, xatol=xatol)
-    assert np.float64(x).tobytes() == np.float64(ref.x).tobytes()
-    assert np.float64(fun).tobytes() == np.float64(ref.fun).tobytes()
-    assert nfev == ref.nfev
-
-
 def _lattice_cases():
     rng = np.random.default_rng(8)
     geometric = [rng.geometric(p, 20_000) for p in (0.25, 0.05)]
@@ -327,6 +305,51 @@ def test_fit_mle_censored_optimum_and_start(i, monkeypatch):
     for factor in (1.01, 0.5):
         monkeypatch.setattr(volint.semodel, "_profile_a", lambda g, xg, f=factor: f * profile_a(g, xg))
         assert abs(fit_mle(sample).gamma - fitted.gamma) <= 1e-6
+
+
+def test_fit_mle_censored_makes_few_likelihood_passes(monkeypatch):
+    # every evaluation of the censored likelihood goes through _cell_terms
+    real = volint.semodel._cell_terms
+    for sample in _lattice_cases():
+        calls = []
+        monkeypatch.setattr(volint.semodel, "_cell_terms", lambda *args: calls.append(1) or real(*args))
+        fit_mle(sample)
+        assert len(calls) <= 15
+
+
+def test_censored_derivatives_match_differences():
+    # the far-tail sample: its first cell, quadrature cells and, at large
+    # gamma, a cell wider than _WIDE_CELL in u
+    sample = _lattice_cases()[-1]
+    k, count = np.unique(np.rint(np.asarray(sample) / sample.step), return_counts=True)
+    h = sample.step
+    log_x = np.log(((k - 0.5) * h)[:, None] + (0.5 * h) * _GL_NODES)
+
+    def derivs(t, g):
+        return _censored_derivs(t, g, True, k, count, h, log_x)
+
+    for t, g, n_edge in ((0.6, 0.55, 1), (-0.5, 1.7, 2), (0.9, 1.0, 1)):
+        edge = _cell_terms(np.exp(t), g, k, h)[5]
+        assert edge[0] and edge.sum() == n_edge
+        ll, grad, hess = derivs(t, g)
+        assert ll == -_censored_nll(np.array([np.exp(t), g]), k, count, h)
+        step = 1e-5
+
+        def ll_at(dt, dg):
+            return -_censored_nll(np.array([np.exp(t + dt), g + dg]), k, count, h)
+
+        numeric = (ll_at(step, 0) - ll_at(-step, 0), ll_at(0, step) - ll_at(0, -step))
+        np.testing.assert_allclose(grad, np.array(numeric) / (2 * step), rtol=1e-6)
+        # the Hessian against differences of the closed-form gradient
+        by_t = (np.array(derivs(t + step, g)[1]) - np.array(derivs(t - step, g)[1])) / (2 * step)
+        by_g = (np.array(derivs(t, g + step)[1]) - np.array(derivs(t, g - step)[1])) / (2 * step)
+        np.testing.assert_allclose([hess[0], hess[1], hess[1], hess[2]], [*by_t, *by_g], rtol=1e-5)
+
+
+def test_gauss_legendre_constants_are_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    assert _GL_NODES.tobytes() == nodes.tobytes()
+    assert _GL_WEIGHTS.tobytes() == weights.tobytes()
 
 
 def test_fit_mle_lattice_input_rules():
