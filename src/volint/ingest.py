@@ -359,8 +359,16 @@ def _columns(ticks: Ticks | Iterable[TickRecord]) -> tuple[np.ndarray, np.ndarra
 
 def tick_days(ticks: Ticks | Iterable[TickRecord], utc_offset_minutes: int = 0) -> tuple[date, ...]:
     """Distinct wall-clock dates covered by ``Ticks`` or ``TickRecord``s, sorted."""
-    day_numbers = np.unique((_columns(ticks)[0] + utc_offset_minutes * 60) // 86_400).tolist()
+    day_numbers = sorted_unique((_columns(ticks)[0] + utc_offset_minutes * 60) // 86_400).tolist()
     return tuple(date(1970, 1, 1) + timedelta(days=int(d)) for d in day_numbers)
+
+
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """Distinct values of ``a``, sorted: ``np.unique(a)`` without the ``numpy.ma`` import it makes."""
+    a = np.sort(a)
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
 
 
 def _nearest_prices(wall: np.ndarray, px: np.ndarray, marks: np.ndarray) -> np.ndarray:

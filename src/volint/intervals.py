@@ -24,6 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InsufficientEventsError, UnreachableTargetError
+from .ingest import sorted_unique
 from .volatility import NormVolSeries
 
 
@@ -238,7 +239,7 @@ class DequantizedCdf:
     @classmethod
     def from_sample(cls, sample: IntervalSample) -> "DequantizedCdf":
         steps = CdfTable.from_values(sample.tau)
-        knots = np.union1d(steps.x - 1.0, steps.x)
+        knots = sorted_unique(np.concatenate((steps.x - 1.0, steps.x)))
         step = 1.0 / (sample.mean_interval - 0.5)
         return cls(
             x=knots * step,

@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FitFailureError, NoOverlapError
+from .ingest import sorted_unique
 from .intervals import CdfTable, DequantizedCdf, IntervalSample, empirical_cdf
 from .semodel import FitReport, SEModel, fit_mle, se_cdf, se_sample
 
@@ -88,7 +89,7 @@ def two_sample_ks(
     hi = min(float(fi.x[-1]), float(fj.x[-1]))
     if lo > hi:
         raise NoOverlapError(f"supports [{fi.x[0]:g}, {fi.x[-1]:g}] and [{fj.x[0]:g}, {fj.x[-1]:g}] do not overlap")
-    pooled = np.union1d(fi.x, fj.x)
+    pooled = sorted_unique(np.concatenate((fi.x, fj.x)))
     pooled = pooled[(pooled >= lo) & (pooled <= hi)]
     stat = float(np.max(np.abs(fi.eval(pooled) - fj.eval(pooled))))
     if overlap_counts:

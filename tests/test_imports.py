@@ -1,10 +1,12 @@
-"""Every volint module uses each name it imports, and the CLI imports no scipy.
+"""Every volint module uses each name it imports, and no volint process loads scipy.
 
 A deleted code path should take its imports with it. ``__init__.py`` is
-exempt because its imports are the package's exports.
+exempt from the unused-import check because its imports are the package's
+exports. scipy is a test dependency only: the tests use it as a reference.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -65,34 +67,52 @@ def test_string_annotation_counts_as_use():
     assert "A" not in _used(tree)
 
 
+def test_no_module_imports_scipy():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, node.lineno) for m in modules if m.split(".")[0] == "scipy"]
+    assert not found, f"scipy imported at {found}"
+
+
+def _python(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter that imports this checkout; return its stdout lines."""
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()
+
+
 _SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
 
 
 def test_cli_and_iid_synth_load_no_scipy(tmp_path):
-    # every analyze and synth process pays for what volint.cli imports; only
-    # synth --kind se_intervals needs scipy.special, for the normal quantile
-    code = "\n".join(
-        [
-            "import sys, volint.cli",
-            _SCIPY_LOADED,
-            "from volint.synth import SynthSpec, generate_minute_csv",
-            "spec = SynthSpec('iid_gaussian_abs', n=500, seed=1)",
-            f"generate_minute_csv(spec, {str(tmp_path / 't.csv')!r})",
+    # every analyze and synth process pays for what volint.cli imports, and
+    # se_intervals takes its normal CDF and quantile from synth.py, not scipy.special
+    lines = ["import sys, volint.cli", _SCIPY_LOADED, "from volint.synth import SynthSpec, generate_minute_csv"]
+    for kind in ("iid_gaussian_abs", "se_intervals"):
+        lines += [
+            f"spec = SynthSpec({kind!r}, n=500, seed=1)",
+            f"generate_minute_csv(spec, {str(tmp_path / (kind + '.csv'))!r})",
             _SCIPY_LOADED,
         ]
-    )
-    path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.splitlines() == ["[]", "[]"]
+    assert _python("\n".join(lines)) == ["[]", "[]", "[]"]
 
 
 def test_cli_loads_no_numpy_polynomial():
     # the Gauss-Legendre rule is written out, so no analyze process pays for numpy.polynomial
-    code = "import sys, volint.cli; print('numpy.polynomial' in sys.modules)"
-    path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _python("import sys, volint.cli; print('numpy.polynomial' in sys.modules)") == ["False"]
+
+
+def test_analyze_loads_no_numpy_ma(tmp_path, corpus_cfg):
+    # np.unique and np.union1d import numpy.ma to ask whether their input is masked
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(corpus_cfg(tmp_path / "out")))
+    run = f"main(['analyze', '--config', {str(cfg)!r}])"
+    assert _python(f"import sys; from volint.cli import main; print({run}, 'numpy.ma' in sys.modules)")[-1] == "0 False"
