@@ -9,16 +9,20 @@ intervals x = tau / <tau> are binned logarithmically for the PDF and
 accumulated exactly for the empirical CDF.
 
 Because tau is a whole number of minutes, x lies on the lattice k / <tau>,
-whose step differs from threshold to threshold. ``IntervalSample.scaled``
-returns the values tagged with that step (``ScaledIntervals``), and
-``DequantizedCdf`` gives the continuous CDF of the dequantised intervals
-tau - U, U ~ Uniform(0, 1), for comparisons across thresholds.
+whose step differs from threshold to threshold. ``IntervalSample.counts``
+holds a sample in that lattice form, the distinct k and how often each
+occurs, and every table and statistic of a sample reads it. ``IntervalSample.scaled``
+returns the values as a view tagged with their sample, which ``fit_mle``
+fits as lattice data, and ``DequantizedCdf`` gives the continuous CDF of the
+dequantised intervals tau - U, U ~ Uniform(0, 1), for comparisons across
+thresholds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -29,24 +33,18 @@ from .volatility import NormVolSeries
 
 
 class ScaledIntervals(np.ndarray):
-    """Float64 array of scaled intervals tau / <tau> that carries its lattice step.
+    """Float64 view of tau / <tau> that carries its ``IntervalSample`` and lattice step 1 / <tau>.
 
-    ``step`` is 1 / <tau>: every value is an integer multiple of it. Only the
-    array built here carries the step, so a transformed copy is never
-    mistaken for lattice data: arithmetic gives plain arrays and scalars,
-    and slices and sorted copies have ``step = None``. ``np.asarray`` gives
-    the plain values.
+    Only ``IntervalSample.scaled`` builds one. Arithmetic gives plain arrays
+    and scalars, and slices and sorted copies have ``sample = step = None``,
+    so a transformed copy is never mistaken for lattice data.
     """
 
+    sample: "IntervalSample | None"
     step: float | None
 
-    def __new__(cls, values, step: float) -> "ScaledIntervals":
-        obj = np.asarray(values, dtype=np.float64).view(cls)
-        obj.step = float(step)
-        return obj
-
     def __array_finalize__(self, obj) -> None:
-        self.step = None
+        self.sample = self.step = None
 
     def __array_wrap__(self, obj, context=None, return_scalar=False):
         out = np.asarray(obj)
@@ -74,15 +72,23 @@ class IntervalSample:
     def mean_interval(self) -> float:
         return float(self.tau.mean())
 
-    def scaled(self) -> ScaledIntervals:
-        """Intervals divided by their mean, tagged with the lattice step 1 / <tau>.
+    @cached_property
+    def counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct intervals k, ascending, as float64, and how often each occurs, c_k."""
+        count = np.bincount(self.tau)
+        k = np.flatnonzero(count)
+        return k.astype(np.float64), count[k]
 
-        The values are exactly tau / <tau>. ``fit_mle`` reads the step and fits
-        the interval-censored likelihood; pass ``np.asarray(sample.scaled())``
-        to fit the values as continuous data instead.
+    def scaled(self) -> ScaledIntervals:
+        """Intervals divided by their mean, exactly tau / <tau>, as a view tagged with this sample.
+
+        ``fit_mle`` fits the view by the interval-censored likelihood of
+        ``counts``; ``np.asarray(sample.scaled())`` is fitted as continuous data.
         """
         mean = self.mean_interval
-        return ScaledIntervals(self.tau / mean, step=1.0 / mean)
+        x = (self.tau / mean).view(ScaledIntervals)
+        x.sample, x.step = self, 1.0 / mean
+        return x
 
 
 def _series_values(v) -> tuple[np.ndarray, np.ndarray | None]:
@@ -154,10 +160,10 @@ def scaled_pdf(sample: IntervalSample, bins_per_decade: int = 20) -> PdfTable:
     """
     if bins_per_decade < 1:
         raise ValueError("bins_per_decade must be >= 1")
-    x = sample.scaled()
-    n = len(x)
-    xmin = float(x.min())
-    xmax = float(x.max())
+    k, c = sample.counts
+    x = k / sample.mean_interval
+    n = len(sample)
+    xmin, xmax = float(x[0]), float(x[-1])
     if xmin == xmax:
         half = 10.0 ** (0.5 / bins_per_decade)
         lo, hi = xmin / half, xmax * half
@@ -175,7 +181,7 @@ def scaled_pdf(sample: IntervalSample, bins_per_decade: int = 20) -> PdfTable:
     edges = 10.0 ** np.linspace(math.log10(xmin), math.log10(xmax), n_bins + 1)
     edges[0] = xmin
     edges[-1] = xmax
-    count, _ = np.histogram(x, bins=edges)
+    count = np.histogram(x, bins=edges, weights=c)[0].astype(np.int64)
     keep = count > 0
     lo = edges[:-1][keep]
     hi = edges[1:][keep]
@@ -200,12 +206,10 @@ class CdfTable:
     n: int
 
     @classmethod
-    def from_values(cls, values: np.ndarray) -> "CdfTable":
-        values = np.asarray(values, dtype=np.float64)
-        if len(values) == 0:
-            raise ValueError("empty sample")
-        x, count = np.unique(values, return_counts=True)
-        return cls(x=x, F=np.cumsum(count) / len(values), count=count, n=len(values))
+    def from_counts(cls, x: np.ndarray, count: np.ndarray) -> "CdfTable":
+        """The table of the ascending distinct values x, each occurring ``count`` times."""
+        n = int(count.sum())
+        return cls(x=x, F=np.cumsum(count) / n, count=count, n=n)
 
     def eval(self, t) -> np.ndarray:
         """F(t) with right-continuous steps: points at t are included."""
@@ -238,7 +242,7 @@ class DequantizedCdf:
 
     @classmethod
     def from_sample(cls, sample: IntervalSample) -> "DequantizedCdf":
-        steps = CdfTable.from_values(sample.tau)
+        steps = CdfTable.from_counts(*sample.counts)
         knots = sorted_unique(np.concatenate((steps.x - 1.0, steps.x)))
         step = 1.0 / (sample.mean_interval - 0.5)
         return cls(
@@ -262,8 +266,12 @@ class DequantizedCdf:
 def empirical_cdf(sample) -> CdfTable:
     """Empirical CDF of the scaled intervals, or of a plain value array."""
     if isinstance(sample, IntervalSample):
-        return CdfTable.from_values(sample.scaled())
-    return CdfTable.from_values(np.asarray(sample, dtype=np.float64))
+        k, count = sample.counts
+        return CdfTable.from_counts(k / sample.mean_interval, count)
+    values = np.asarray(sample, dtype=np.float64)
+    if len(values) == 0:
+        raise ValueError("empty sample")
+    return CdfTable.from_counts(*np.unique(values, return_counts=True))
 
 
 class ThresholdResult(NamedTuple):

@@ -163,12 +163,6 @@ def ks_matrix(
     return KsMatrix(pairs=tuple(pairs))
 
 
-def _scaled(sample) -> np.ndarray:
-    if isinstance(sample, IntervalSample):
-        return sample.scaled()
-    return np.asarray(sample, dtype=np.float64)
-
-
 def _ks_steps(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The empirical CDF of n sorted points at and just below each point: i/n and (i-1)/n."""
     i = np.arange(1, n + 1)
@@ -232,9 +226,16 @@ def one_sample_ks(sample, model: SEModel) -> float:
     F(x_(i)). For a sample drawn from the same continuous model these are
     uniform order statistics (probability integral transform), so the
     statistic has the Kolmogorov law of ``kolmogorov_sf`` whatever the
-    model is.
+    model is. An ``IntervalSample`` is scored from its ``counts``: at each
+    distinct k / <tau>, F_n is C_k / n and just below it C_(k-1) / n, C_k
+    being the cumulative count, so F is taken at K points instead of n.
     """
-    x = np.sort(_scaled(sample))
+    if isinstance(sample, IntervalSample):
+        k, count = sample.counts
+        cum = np.cumsum(count)
+        steps = (cum / len(sample), (cum - count) / len(sample))
+        return _sorted_cdf_ks(se_cdf(model, k / sample.mean_interval), steps)
+    x = np.sort(np.asarray(sample, dtype=np.float64))
     if len(x) == 0:
         raise ValueError("empty sample")
     return _sorted_cdf_ks(se_cdf(model, x))
@@ -423,9 +424,8 @@ def bootstrap_pvalue(
     """
     if n_boot < 1:
         raise ValueError("n_boot must be >= 1")
-    x = _scaled(sample)
-    n = len(x)
-    ks_obs = one_sample_ks(x, model)
+    n = len(sample)
+    ks_obs = one_sample_ks(sample, model)
 
     n_failed = 0
     if refit:

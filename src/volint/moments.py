@@ -39,9 +39,7 @@ from .semodel import SEModel, analytic_moment, fit_mle
 def _counts(sample) -> tuple[np.ndarray, np.ndarray]:
     """(distinct intervals as floats, how often each occurs) of an ``IntervalSample`` or a raw array."""
     if isinstance(sample, IntervalSample):
-        count = np.bincount(sample.tau)
-        k = np.flatnonzero(count)
-        return k.astype(np.float64), count[k]
+        return sample.counts
     tau = np.asarray(sample, dtype=np.float64)
     if len(tau) == 0:
         raise ValueError("empty interval sample")
@@ -169,8 +167,7 @@ def sweep_intervals(v, q_grid: Sequence[float], cross_day: bool = True) -> Inter
         if kept and s.mean_interval <= kept[-1][1]:
             dropped.append((q, "mean interval did not increase"))
             continue
-        k, count = _counts(s)
-        kept.append((q, s.mean_interval, len(s), k / s.mean_interval, count))
+        kept.append((q, s.mean_interval, len(s), s.counts[0] / s.mean_interval, s.counts[1]))
     if not kept:
         raise InsufficientPointsError("no grid threshold produced two exceedances")
     q, mean, size, x, count = zip(*kept)
@@ -312,8 +309,7 @@ def moment_vs_order(
     out = []
     for target, (q, achieved) in zip(mean_targets, threshold_for_mean(v, mean_targets, cross_day=cross_day)):
         s = extract_intervals(v, q, cross_day=cross_day)
-        x = s.scaled()
-        model = fit_mle(x if lattice else np.asarray(x))
+        model = fit_mle(s.scaled() if lattice else np.asarray(s.scaled()))
         mu = np.array([empirical_moment(s, mm) for mm in grid])
         mu_model = np.array([analytic_moment(model, mm) for mm in grid])
         out.append(

@@ -229,8 +229,7 @@ def fit_threshold(cfg: RunConfig, sample: IntervalSample) -> FitReport:
     if cfg.fit_mode == "lsq":
         model = fit_lsq(scaled_pdf(sample, cfg.bins_per_decade))
     else:
-        x = sample.scaled()
-        model = fit_mle(x if cfg.lattice else np.asarray(x))
+        model = fit_mle(sample.scaled() if cfg.lattice else np.asarray(sample.scaled()))
     seed = derive_seed(cfg.seed, f"fit:q={sample.q:g}")
     return bootstrap_pvalue(
         sample, model, n_boot=cfg.n_boot, seed=seed, refit=cfg.refit, mode=cfg.fit_mode

@@ -273,12 +273,13 @@ def analytic_moment(model: SEModel, m: float) -> float:
     return model.a ** (-1.0 / g) * float(np.exp(log_ratio / m))
 
 
-def _profile_a(g: float, x_pow_g: np.ndarray) -> float:
+def _profile_a(g: float, x_pow_g: np.ndarray, n: int | None = None) -> float:
     """a(gamma) = n / (gamma * sum(x**gamma)), the continuous MLE of a at fixed gamma.
 
-    ``x_pow_g`` holds the n terms x**gamma.
+    ``x_pow_g`` holds the terms x**gamma: of the n values, or of the distinct
+    values times how often each occurs when ``n`` is given.
     """
-    return len(x_pow_g) / (g * float(np.sum(x_pow_g)))
+    return (len(x_pow_g) if n is None else n) / (g * float(np.sum(x_pow_g)))
 
 
 def _profile_log_a(g: float, shifted_log_x: np.ndarray, top: float) -> float:
@@ -456,22 +457,15 @@ def fit_mle(sample: np.ndarray) -> SEModel:
     sum(log(c * exp(-a * x**gamma))) through its profile in gamma: at fixed
     gamma the best a is a(gamma) = n / (gamma * sum(x**gamma)), so the
     optimum over gamma in [0.05, 2] is a root of the profile score, found
-    by safeguarded Newton, or a bound where the likelihood is higher. For
-    lattice input, an array that carries a ``step`` h such as
-    ``IntervalSample.scaled()`` returns, each value x = k h counts as a
-    continuous value censored to ((k-1) h, k h] and the likelihood is
-    sum_k c_k log(S((k-1) h) - S(k h)), with c_k the number of values equal
-    to k h and S the model's survival function. It is maximized over
-    (log a, gamma) by safeguarded Newton on the distinct cells (k, c_k),
-    with a closed-form gradient and Hessian, from the continuous fit of the
-    same values; the best log a at either bound of [0.05, 2] wins if its
-    likelihood is higher.
+    by safeguarded Newton, or a bound where the likelihood is higher. The
+    view ``IntervalSample.scaled()`` returns is lattice input: the
+    interval-censored likelihood of its sample's ``counts`` (k, c_k) at the
+    step h = 1 / <tau> is maximized by ``_fit_lattice``.
 
     Parameters
     ----------
     sample : array_like
-        Scaled intervals; at least 50 strictly positive values. An
-        optional ``step`` attribute marks them as multiples of that step.
+        Scaled intervals, at least 50 strictly positive values, or the view above.
 
     Returns
     -------
@@ -481,36 +475,40 @@ def fit_mle(sample: np.ndarray) -> SEModel:
     Raises
     ------
     ValueError
-        Fewer than 50 values, any value <= 0, or values that are not
-        multiples of their ``step``.
+        Fewer than 50 values, or any value <= 0 or not finite.
     FitFailureError
         The optimum is not finite, or lattice values all fall in one cell;
         carries the best iterate in ``best`` when there is one.
     """
-    step = getattr(sample, "step", None)
     x = np.asarray(sample, dtype=np.float64)
     if len(x) < 50:
         raise ValueError("MLE fit needs at least 50 values")
+    if getattr(sample, "sample", None) is not None:
+        return _fit_lattice(*sample.sample.counts, sample.step)
     if not np.all(np.isfinite(x)) or np.any(x <= 0):
         raise ValueError("MLE fit needs strictly positive finite values")
-    if step is None:
-        return _fit_profile(x)
+    return _fit_profile(x)
 
-    ratio = x / step
-    k = np.rint(ratio)
-    if np.any(np.abs(ratio - k) > 1e-6) or np.any(k < 1):
-        raise ValueError("lattice values must be positive multiples of their step")
-    k, count = np.unique(k, return_counts=True)
+
+def _fit_lattice(k: np.ndarray, count: np.ndarray, h: float) -> SEModel:
+    """Censored MLE of the lattice values k h, each occurring ``count`` times.
+
+    A value k h is censored to ((k-1) h, k h], so the likelihood is
+    sum_k c_k log(S((k-1) h) - S(k h)), S the model's survival function.
+    Safeguarded Newton maximizes it over (log a, gamma) from the continuous
+    profile root in gamma, and over log a alone at either bound of
+    [0.05, 2]; the most likely run wins. Each run starts at the continuous
+    a(gamma) = n / (gamma * sum_k c_k (k h)**gamma) of its gamma.
+    """
     if len(k) < 2:
         raise FitFailureError("all values in one lattice cell: the likelihood has no interior maximum")
-    # the joint Newton run, then t alone at each bound, each from the continuous a(gamma) of its gamma
-    h = float(step)
+    n = int(count.sum())
     log_k = np.log(k)
     root = _profile_score_root(log_k - float(log_k[-1]), count)
     args = (k, count, h, np.log(((k - 0.5) * h)[:, None] + (0.5 * h) * _GL_NODES))
     lo, hi = GAMMA_BOUNDS
     runs = [
-        _censored_newton(float(np.log(_profile_a(g, x**g))), g, free, args)
+        _censored_newton(float(np.log(_profile_a(g, count * (k * h) ** g, n))), g, free, args)
         for g, free in ((root, True), (lo, False), (hi, False))
     ]
     ll, t, g = max(runs, key=lambda run: run[0] if np.isfinite(run[0]) else -np.inf)

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volint import (
+    CdfTable,
+    DequantizedCdf,
     InsufficientEventsError,
     IntervalSample,
     NormVolSeries,
@@ -96,6 +98,68 @@ def test_scaled_divides_by_own_mean():
     x = sample.scaled()
     assert list(x) == [0.75, 0.75, 1.5]
     assert x.step == 0.75
+
+
+def _count_cases():
+    rng = np.random.default_rng(3)
+    return [
+        np.full(40, 7),  # a single repeated tau: the degenerate PDF
+        np.append(np.ones(5_000, dtype=np.int64), 10_000),  # many tau = 1 and one far-tail value
+        rng.geometric(0.05, 20_000),
+    ]
+
+
+def _values_cdf(values):
+    x, count = np.unique(values, return_counts=True)
+    return CdfTable(x=x, F=np.cumsum(count) / len(values), count=count, n=len(values))
+
+
+def _values_pdf(x, bins_per_decade):
+    """The log-binned table made from the n scaled values themselves."""
+    n, xmin, xmax = len(x), float(x.min()), float(x.max())
+    if xmin == xmax:
+        half = 10.0 ** (0.5 / bins_per_decade)
+        lo, hi = xmin / half, xmax * half
+        return np.array([lo]), np.array([hi]), np.array([xmin]), np.array([1.0 / (hi - lo)]), np.array([n])
+    n_bins = max(1, int(np.ceil(np.log10(xmax / xmin) * bins_per_decade)))
+    edges = 10.0 ** np.linspace(np.log10(xmin), np.log10(xmax), n_bins + 1)
+    edges[0], edges[-1] = xmin, xmax
+    count, _ = np.histogram(x, bins=edges)
+    keep = count > 0
+    lo, hi = edges[:-1][keep], edges[1:][keep]
+    return lo, hi, np.sqrt(lo * hi), count[keep] / (n * (hi - lo)), count[keep]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["one_value", "far_tail", "geometric"])
+def test_tables_from_counts_match_values(case):
+    tau = _count_cases()[case]
+    sample = IntervalSample(q=1.0, tau=tau, source_length=int(tau.sum()))
+    k, count = sample.counts
+    ref_k, ref_count = np.unique(tau, return_counts=True)
+    assert k.dtype == np.float64 and np.array_equal(k, ref_k)
+    assert np.array_equal(count, ref_count) and count.sum() == len(sample)
+    assert sample.counts is sample.counts
+
+    x = np.asarray(sample.scaled())
+    for table, ref in ((empirical_cdf(sample), _values_cdf(x)), (empirical_cdf(x), _values_cdf(x))):
+        assert table.n == ref.n
+        for field in ("x", "F", "count"):
+            assert np.array_equal(getattr(table, field), getattr(ref, field))
+
+    steps = _values_cdf(tau)
+    knots = np.unique(np.concatenate((steps.x - 1.0, steps.x)))
+    step = 1.0 / (sample.mean_interval - 0.5)
+    deq = DequantizedCdf.from_sample(sample)
+    assert deq.step == step and deq.n == len(tau)
+    assert np.array_equal(deq.x, knots * step) and np.array_equal(deq.F, steps.eval(knots))
+    assert np.array_equal(deq.upper, steps.x * step) and np.array_equal(deq.count, steps.count)
+
+    for bpd in (5, 20):
+        pdf = scaled_pdf(sample, bins_per_decade=bpd)
+        assert pdf.degenerate == (case == 0) and pdf.n_total == len(tau)
+        for got, want in zip((pdf.lo, pdf.hi, pdf.center, pdf.density, pdf.count), _values_pdf(x, bpd)):
+            assert np.array_equal(got, want)
+        assert pdf.count.dtype.kind == "i"
 
 
 def test_hand_pdf():

@@ -245,6 +245,20 @@ def test_one_sample_ks_detects_both_step_sides():
     np.testing.assert_allclose(d, float(model.cdf(50.0)), rtol=1e-12)
 
 
+@pytest.mark.parametrize("mean", [1.5, 20.0, 1000.0])
+def test_one_sample_ks_scores_interval_counts(mean, monkeypatch):
+    model = SEModel.normalized(1.3, 0.7)
+    tau = np.ceil(model.sample(5_000, seed=4) * mean).astype(np.int64)
+    sample = IntervalSample(q=3.0, tau=tau, source_length=int(tau.sum()))
+    on_values = one_sample_ks(np.asarray(sample.scaled()), model)
+    sizes = []
+    real = volint.kstest.se_cdf
+    monkeypatch.setattr(volint.kstest, "se_cdf", lambda m, x: sizes.append(np.size(x)) or real(m, x))
+    assert one_sample_ks(sample, model) == on_values
+    assert sizes == [len(sample.counts[0])] and sizes[0] < len(sample)
+    assert bootstrap_pvalue(sample, model, n_boot=10, seed=1).ks == on_values
+
+
 def test_bootstrap_deterministic():
     model = SEModel.normalized(5.79, 0.43)
     x = model.sample(300, seed=1)

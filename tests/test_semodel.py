@@ -15,7 +15,6 @@ from volint import (
     FitReport,
     IntervalSample,
     PdfTable,
-    ScaledIntervals,
     SEModel,
     analytic_moment,
     fit_lsq,
@@ -303,7 +302,7 @@ def test_fit_mle_censored_optimum_and_start(i, monkeypatch):
     # the Newton start is a(gamma) of the continuous likelihood
     profile_a = volint.semodel._profile_a
     for factor in (1.01, 0.5):
-        monkeypatch.setattr(volint.semodel, "_profile_a", lambda g, xg, f=factor: f * profile_a(g, xg))
+        monkeypatch.setattr(volint.semodel, "_profile_a", lambda g, *rest, f=factor: f * profile_a(g, *rest))
         assert abs(fit_mle(sample).gamma - fitted.gamma) <= 1e-6
 
 
@@ -359,12 +358,8 @@ def test_fit_mle_lattice_input_rules():
     assert getattr(2.0 * x, "step", None) is None
     assert x[:55].step is None
     assert fit_mle(x[:55]) == fit_mle(np.asarray(x[:55]))
-    with pytest.raises(ValueError):
-        fit_mle(ScaledIntervals(np.linspace(0.11, 5.0, 60), step=0.1))
-    with pytest.raises(ValueError):
-        fit_mle(ScaledIntervals(np.append(np.arange(1, 60) * 0.1, 1e-9), step=0.1))
-    with pytest.raises(ValueError):
-        fit_mle(ScaledIntervals(np.arange(1, 31) * 0.1, step=0.1))  # too few values
+    with pytest.raises(ValueError):  # too few values
+        fit_mle(IntervalSample(q=1.0, tau=np.arange(1, 31), source_length=1).scaled())
 
 
 def test_fit_mle_preconditions():
