@@ -65,10 +65,7 @@ def cmd_synth(args) -> int:
         key, sep, value = item.partition("=")
         if not sep:
             raise ConfigError(f"bad --param {item!r}; expected key=value")
-        try:
-            params[key] = float(value)
-        except ValueError:
-            params[key] = value
+        params[key] = value  # the generator converts numbers, so a file named "1" stays a path
     try:
         spec = SynthSpec(kind=args.kind, n=args.n, seed=args.seed, params=params)
         ms = generate_minute_csv(spec, args.out)

@@ -3,6 +3,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from volint import validate_config
@@ -44,6 +45,40 @@ def test_synth_rejects_malformed_param(tmp_path, capsys):
         ["synth", "--n", "2000", "--param", "gamma", "--out", str(tmp_path / "x.csv")]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "kind, param",
+    [
+        ("iid_gaussian_abs", "bogus=3"),
+        ("iid_gaussian_abs", "gamma=1"),
+        ("se_intervals", "input=x.csv"),
+        ("shuffled_from_file", "q=3"),
+    ],
+)
+def test_synth_rejects_unknown_param(tmp_path, capsys, kind, param):
+    out = tmp_path / "x.csv"
+    args = ["synth", "--kind", kind, "--n", "2000", "--param", param, "--out", str(out)]
+    if kind == "shuffled_from_file":
+        args += ["--param", "input=x.csv"]
+    assert main(args) == 2
+    assert f"takes no params ['{param.partition('=')[0]}']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_shuffles_a_file_with_a_numeric_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--n", "2000", "--out", "1"]) == 0
+    assert main(["synth", "--kind", "shuffled_from_file", "--param", "input=1", "--out", "s.csv"]) == 0
+    assert (tmp_path / "s.csv").stat().st_size > 0
+
+
+@pytest.mark.parametrize("q", ["0", "-1", "40", "inf"])
+def test_synth_rejects_planted_threshold_out_of_range(tmp_path, capsys, q):
+    out = tmp_path / "x.csv"
+    assert main(["synth", "--kind", "se_intervals", "--n", "2000", "--param", f"q={q}", "--out", str(out)]) == 2
+    assert "se_intervals q must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_volatility_command(synth_csv, tmp_path, capsys):
@@ -243,12 +278,17 @@ def test_analyze_moments_failure_exits_4(tmp_path, corpus_cfg, capsys):
 
 
 def test_analyze_order_curve_target_above_top_value_mean(tmp_path, capsys):
-    # the planted-interval corpus's highest candidate has a mean of 67; a lower one reaches 100
+    # the highest candidate keeps only the two largest values, whose one
+    # interval is below the target 100; a lower candidate reaches it
     ticks, out = tmp_path / "ticks.csv", tmp_path / "o"
-    assert main(["synth", "--kind", "se_intervals", "--n", "35000", "--seed", "12", "--out", str(ticks)]) == 0
+    assert main(["synth", "--kind", "se_intervals", "--n", "35000", "--seed", "328", "--out", str(ticks)]) == 0
     assert main(["analyze", "--input", str(ticks), "--out-dir", str(out), "--seed", "7"]) == 0
+    v = np.loadtxt(out / "volatility.csv", delimiter=",", skiprows=1, usecols=2)
+    first, second = np.argsort(v)[::-1][:2]
+    assert abs(int(first) - int(second)) < 99.5
     curve = json.loads((out / "summary.json").read_text())["order_curves"][2]
-    assert (curve["q"], curve["achieved_mean"]) == (4.3446572696390415, 99.98579545454545)
+    assert curve["target_mean"] == 100.0
+    assert (curve["q"], curve["achieved_mean"]) == (4.293890364713278, 99.91977077363897)
 
 
 def test_analyze_failed_lsq_fit_exits_4_without_fits(tmp_path, corpus_cfg, capsys):

@@ -16,7 +16,6 @@ from volint import (
 )
 from volint import synth
 from volint.config import RunConfig
-from volint.synth import ndtr, ndtri
 
 
 def test_gen_iid_is_normalized():
@@ -161,58 +160,45 @@ def test_generate_se_intervals_exponential_plant(tmp_path):
     assert one_sample_ks(sample, model) < 0.15
 
 
-_HALF_NORMAL_STD = np.sqrt(1.0 - 2.0 / np.pi)
+class _CountingRng:
+    """A numpy Generator that counts the random values it hands out."""
+
+    def __init__(self, seed):
+        self.rng, self.drawn = np.random.default_rng(seed), 0
+
+    def __getattr__(self, name):
+        def counted(*args, **kwargs):
+            out = getattr(self.rng, name)(*args, **kwargs)
+            self.drawn += np.size(out)
+            return out
+
+        return counted
 
 
-def test_ndtri_matches_scipy_bit_for_bit():
-    from scipy import special
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("cut", [0.05, 1.0, 1.808, 3.6])  # 1.0: a uniform body that is not flat
+def test_abs_normal_between_draws_the_truncated_half_normal(cut, side):
+    from scipy import stats
 
-    rng = np.random.default_rng(20)
-    f_cut = 2.0 * special.ndtr(3.0 * _HALF_NORMAL_STD) - 1.0
-    inputs = {
-        "uniform": rng.uniform(0.0, 1.0, 1_000_000),
-        # the two ranges _gen_se_prices feeds it: |z| below and above the cut
-        "below cut": (rng.uniform(0.0, f_cut, 200_000) + 1.0) / 2.0,
-        "above cut": (rng.uniform(f_cut, 1.0, 200_000) + 1.0) / 2.0,
-        "far tail": 10.0 ** rng.uniform(-300.0, -1.0, 200_000),
-        "edges": np.array([0.0, 1.0, -1e-300, -0.5, 1.0 + 1e-15, 2.0, -np.inf, np.inf, np.nan, 5e-324]),
-        # either side of the exp(-2) and exp(-32) switches
-        "switches": np.concatenate(
-            [c + np.arange(-50, 51) * np.spacing(c) for c in (np.exp(-2.0), 1.0 - np.exp(-2.0), np.exp(-32.0))]
-        ),
-    }
-    for name, y in inputs.items():
-        assert np.array_equal(ndtri(y), special.ndtri(y), equal_nan=True), name
+    lo, hi = (0.0, cut) if side == "below" else (cut, np.inf)
+    n = 50_000
+    rng = _CountingRng(23)
+    x = synth._abs_normal_between(lo, hi, n, rng)
+    assert len(x) == n
+    assert np.all((lo <= x) & (x < hi))
+    # |Z| given lo <= |Z| < hi is Z given lo <= Z < hi, for lo >= 0
+    assert stats.kstest(x, stats.truncnorm(lo, hi).cdf).pvalue > 1e-3
+    assert rng.drawn <= 4 * n
 
 
-def test_ndtr_matches_scipy_bit_for_bit():
-    from scipy import special
+def test_se_intervals_bytes_depend_only_on_seed(tmp_path):
+    from volint.cli import main
 
-    rng = np.random.default_rng(21)
-    # the switches: |x| = sqrt(1/2) (a = 1), erfc's x = 1 and x = 8, and exp underflow at x^2 = log(DBL_MAX)
-    switches = [1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0), np.sqrt(2.0 * 7.09782712893383996843e2)]
-    a = np.concatenate(
-        [
-            rng.uniform(-40.0, 40.0, 200_000),
-            *(s * c + np.arange(-50, 51) * np.spacing(c) for c in switches for s in (-1.0, 1.0)),
-            np.arange(500, 6001) / 1000.0 * _HALF_NORMAL_STD,  # the cut of every q = 0.5, 0.501, ..., 6
-            [0.0, -np.inf, np.inf, np.nan],
-        ]
-    )
-    ours = np.array([ndtr(x) for x in a.tolist()])
-    assert np.array_equal(ours, special.ndtr(a), equal_nan=True)
+    def corpus(seed, name):
+        path = tmp_path / name
+        assert main(["synth", "--kind", "se_intervals", "--n", "5000", "--seed", str(seed), "--out", str(path)]) == 0
+        return path.read_bytes()
 
-
-@pytest.mark.parametrize(
-    "params, seed",
-    [({}, 0), ({"q": 2.5, "a": 5.79, "gamma": 0.43}, 12), ({"q": 4.0, "a": 1.0, "gamma": 1.0}, 3)],
-)
-def test_se_corpus_bytes_match_scipy_normal(tmp_path, monkeypatch, params, seed):
-    from scipy import special
-
-    spec = SynthSpec(kind="se_intervals", n=20_000, seed=seed, params=params)
-    generate_minute_csv(spec, tmp_path / "ours.csv")
-    monkeypatch.setattr(synth, "ndtr", special.ndtr)
-    monkeypatch.setattr(synth, "ndtri", special.ndtri)
-    generate_minute_csv(spec, tmp_path / "scipy.csv")
-    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "scipy.csv").read_bytes()
+    first = corpus(4, "a.csv")
+    assert corpus(4, "b.csv") == first
+    assert corpus(5, "c.csv") != first
