@@ -189,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("mle", "lsq"), dest="fit_mode")
     p.add_argument("--n-boot", type=int, help="bootstrap replicates, drawn only with --refit")
     p.add_argument("--seed", type=int)
-    _switch(p, "--refit", "refit", "bootstrap p with a refit of each replicate")
+    refit = "bootstrap p with each replicate refitted: interval counts scored at the knots"
+    _switch(p, "--refit", "refit", refit + " (continuous draws with --no-lattice)")
     _add_lattice_arg(p)
     p.add_argument("--bins-per-decade", type=int)
     p.add_argument("--out-dir", "-o", default="out")

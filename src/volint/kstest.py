@@ -1,6 +1,9 @@
 """Kolmogorov-Smirnov machinery: the two-sample scaling test across
 thresholds, the one-sample distance to a fitted model, and its p-value,
-from the exact Kolmogorov law or a parametric refit bootstrap.
+from the exact Kolmogorov law or a parametric refit bootstrap. On lattice
+input the refit bootstrap draws interval counts from the fitted censored
+model, refits them all in lockstep (``lattice.LatticeRefit``) and scores
+data and replicates alike by the discrete KS distance at the knots.
 
 The two-sample statistic is the sup of |F_i - F_j| over the overlap of the
 two supports. Acceptance at the 95% level uses
@@ -29,7 +32,8 @@ import numpy as np
 from .errors import FitFailureError, NoOverlapError
 from .ingest import sorted_unique
 from .intervals import CdfTable, DequantizedCdf, IntervalSample, empirical_cdf
-from .semodel import FitReport, SEModel, fit_mle, se_cdf, se_sample
+from .lattice import LatticeRefit
+from .semodel import FitReport, SEModel, _cdf_rows, fit_mle, se_cdf, se_sample
 
 _PI2 = math.pi**2
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -392,6 +396,62 @@ def kolmogorov_sf(d: float, n: int) -> float:
     return min(max(p, 0.0), 1.0)
 
 
+def _knot_grid(sample: IntervalSample) -> tuple[np.ndarray, np.ndarray]:
+    """The knots k / <tau>, k = 1 ... K, K the largest interval, and the sample's F_n = C_k / n at each.
+
+    C_k counts the intervals of at most k minutes. F_n steps only at the
+    knots, so the lattice distance is taken there alone, as in the discrete
+    KS of Conover (1972).
+    """
+    k, count = sample.counts
+    per_cell = np.zeros(int(k[-1]))
+    per_cell[k.astype(np.intp) - 1] = count
+    return np.arange(1.0, len(per_cell) + 1.0) / sample.mean_interval, np.cumsum(per_cell) / len(sample)
+
+
+def _knot_distances(x: np.ndarray, f_n: np.ndarray, a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """max_k |F_n(x_k) - F(x_k)| per row of ``f_n``, F the normalized member (a, gamma) of its row."""
+    gap = _cdf_rows(a, g, x)
+    gap -= f_n
+    return np.abs(gap, out=gap).max(axis=1, initial=0.0)
+
+
+# replicates drawn, refitted and scored together in one block of the lattice bootstrap
+_BOOT_ROWS = 100
+
+
+def _lattice_replicates(sample: IntervalSample, model: SEModel, n_boot: int, seed) -> tuple[float, int, int]:
+    """(knot distance, replicates beyond it, failed refits) of the lattice bootstrap; see ``bootstrap_pvalue``."""
+    x, f_n = _knot_grid(sample)
+    ks = float(_knot_distances(x, f_n[None], np.array([model.a]), np.array([model.gamma]))[0])
+    n = len(sample)
+    refit = LatticeRefit(model, len(x), 1.0 / sample.mean_interval)
+    rng = np.random.default_rng(seed)
+    n_exceed = n_failed = 0
+    for lo in range(0, n_boot, _BOOT_ROWS):
+        counts = rng.multinomial(n, refit.cell_p, size=min(_BOOT_ROWS, n_boot - lo))
+        a, g, ok = refit.fit(counts)
+        n_failed += int(np.sum(~ok))
+        f_boot = np.cumsum(counts[ok, :-1], axis=1) / n
+        n_exceed += int(np.sum(_knot_distances(x, f_boot, a[ok], g[ok]) > ks))
+    return ks, n_exceed, n_failed
+
+
+def _continuous_replicates(model: SEModel, n: int, ks: float, n_boot: int, seed) -> tuple[int, int]:
+    """(replicates beyond ``ks``, failed refits) of the bootstrap on continuous values; see ``bootstrap_pvalue``."""
+    steps = _ks_steps(n)
+    n_exceed = n_failed = 0
+    for child in np.random.SeedSequence(seed).spawn(n_boot):
+        draw = se_sample(model, n, np.random.default_rng(child))
+        try:
+            fitted = fit_mle(draw)
+        except (FitFailureError, ValueError):
+            n_failed += 1
+            continue
+        n_exceed += _ks_exceeds(np.sort(draw), fitted, ks, steps)
+    return n_exceed, n_failed
+
+
 def bootstrap_pvalue(
     sample,
     model: SEModel,
@@ -400,51 +460,62 @@ def bootstrap_pvalue(
     refit: bool = False,
     mode: str = "mle",
 ) -> FitReport:
-    """Goodness of fit: the one-sample KS distance ``ks`` and its p-value.
+    """Goodness of fit: a KS distance ``ks`` of the sample to the model and its p-value.
 
-    With ``refit=False`` (default) p = P(D_n > ks) under the Kolmogorov law
-    (``kolmogorov_sf``). Scored against a fixed continuous model, a sample
-    drawn from that model has F(X) ~ Uniform(0, 1) by the probability
-    integral transform, so this is exactly the p-value a fixed-model
-    parametric bootstrap estimates, and no replicate is drawn; ``n_boot``
-    and ``seed`` are only recorded. When the model was fitted to the same
-    sample, this p is conservative (Lilliefors 1967).
+    With ``refit=False`` (default) ``ks`` is the one-sample KS distance and
+    p = P(D_n > ks) under the Kolmogorov law (``kolmogorov_sf``). Scored
+    against a fixed continuous model, a sample drawn from that model has
+    F(X) ~ Uniform(0, 1) by the probability integral transform, so this is
+    exactly the p-value a fixed-model parametric bootstrap estimates, and
+    no replicate is drawn; ``n_boot`` and ``seed`` are only recorded. When
+    the model was fitted to the same sample, this p is conservative
+    (Lilliefors 1967), and on lattice intervals the lattice steps dominate
+    the distance, so p is near 0 whatever the fit.
 
-    With ``refit=True`` it is a parametric bootstrap: each of ``n_boot``
-    replicates of the observed size is drawn from the model, refitted and
-    compared against its own fit, and p = #(KS_sim > ks) / #completed.
-    Replicates whose refit fails are dropped and counted. Only whether a
-    replicate's distance exceeds ``ks`` counts, so its fit's CDF is
-    evaluated at every (ks n / 4)-th sorted point, and in full only in the
-    blocks where a bound from those points cannot decide (``_ks_exceeds``).
-    Replicate RNGs are spawned from ``numpy.random.SeedSequence(seed)``, so
-    a fixed seed reproduces the p-value and replicates are independent of
-    evaluation order. Replicates are drawn, fitted and scored one at a time,
-    so only one replicate is held in memory at once.
+    With ``refit=True`` it is a parametric bootstrap of ``n_boot``
+    replicates, each refitted and compared against its own fit, and
+    p = #(KS_sim > ks) / #completed (Clauset, Shalizi & Newman 2009).
+    Replicates whose refit fails are dropped and counted.
+
+    - Lattice input, the view ``IntervalSample.scaled()`` returns: ``ks`` is
+      the knot distance max_k |C_k / n - F(k h)| (``_knot_grid``), h =
+      1 / <tau>. A replicate is n interval counts
+      drawn by one multinomial over the cells ((k-1) h, k h], k = 1 ... K,
+      and the open tail (K h, inf), with the model's censored cell masses.
+      ``LatticeRefit`` refits every replicate by the censored likelihood,
+      all in lockstep from the model's (a, gamma), and each is scored by
+      the knot distance to its own fit. The replicates come from one
+      ``numpy.random.default_rng(seed)``, ``_BOOT_ROWS`` at a time, which
+      draws the same counts as one call for all of them; a refit's bits do
+      not depend on the others in its block, so neither does p. A refit
+      fails where a replicate occupies one cell or its optimum is not
+      finite.
+    - Any other input is scored as continuous values: each replicate is
+      drawn from the model with its own RNG, spawned from
+      ``numpy.random.SeedSequence(seed)``, refitted by ``fit_mle``, and
+      only whether its distance exceeds ``ks`` is decided, from its fit's
+      CDF at every (ks n / 4)-th sorted point and in full only in the
+      blocks where a bound from those points cannot decide
+      (``_ks_exceeds``). One replicate is held in memory at a time.
     """
     if n_boot < 1:
         raise ValueError("n_boot must be >= 1")
     n = len(sample)
-    ks_obs = one_sample_ks(sample, model)
-
+    lattice = getattr(sample, "sample", None)
+    observed = sample if lattice is None else lattice
     n_failed = 0
-    if refit:
-        steps = _ks_steps(n)
-        n_exceed = 0
-        for child in np.random.SeedSequence(seed).spawn(n_boot):
-            draw = se_sample(model, n, np.random.default_rng(child))
-            try:
-                fitted = fit_mle(draw)
-            except (FitFailureError, ValueError):
-                n_failed += 1
-                continue
-            n_exceed += _ks_exceeds(np.sort(draw), fitted, ks_obs, steps)
-        completed = n_boot - n_failed
-        if completed == 0:
-            raise FitFailureError("every bootstrap replicate failed to refit")
-        p = n_exceed / completed
-    else:
+    if not refit:
+        ks_obs = one_sample_ks(observed, model)
         p = kolmogorov_sf(ks_obs, n)
+    else:
+        if lattice is not None:
+            ks_obs, n_exceed, n_failed = _lattice_replicates(lattice, model, n_boot, seed)
+        else:
+            ks_obs = one_sample_ks(observed, model)
+            n_exceed, n_failed = _continuous_replicates(model, n, ks_obs, n_boot, seed)
+        if n_failed == n_boot:
+            raise FitFailureError("every bootstrap replicate failed to refit")
+        p = n_exceed / (n_boot - n_failed)
     return FitReport(
         model=model,
         mode=mode,
@@ -453,6 +524,6 @@ def bootstrap_pvalue(
         p=p,
         n_boot=n_boot,
         seed=seed if isinstance(seed, int) else None,
-        q=sample.q if isinstance(sample, IntervalSample) else None,
+        q=observed.q if isinstance(observed, IntervalSample) else None,
         n_failed_refits=n_failed,
     )

@@ -224,15 +224,18 @@ def fit_threshold(cfg: RunConfig, sample: IntervalSample) -> FitReport:
 
     ``bootstrap_pvalue`` gives p from the exact Kolmogorov law, or from a
     bootstrap of ``cfg.n_boot`` refitted replicates when ``cfg.refit`` is
-    set; the replicates' seed is derived from the run seed and q.
+    set; the replicates' seed is derived from the run seed and q. With
+    ``cfg.lattice`` it gets the lattice view ``sample.scaled()``, so a refit
+    bootstrap draws and refits interval counts.
     """
+    scaled = sample.scaled()
     if cfg.fit_mode == "lsq":
         model = fit_lsq(scaled_pdf(sample, cfg.bins_per_decade))
     else:
-        model = fit_mle(sample.scaled() if cfg.lattice else np.asarray(sample.scaled()))
+        model = fit_mle(scaled if cfg.lattice else np.asarray(scaled))
     seed = derive_seed(cfg.seed, f"fit:q={sample.q:g}")
     return bootstrap_pvalue(
-        sample, model, n_boot=cfg.n_boot, seed=seed, refit=cfg.refit, mode=cfg.fit_mode
+        scaled if cfg.lattice else sample, model, n_boot=cfg.n_boot, seed=seed, refit=cfg.refit, mode=cfg.fit_mode
     )
 
 

@@ -19,23 +19,15 @@ Numerical Recipes' ``gammp``), each to the depth its hardest argument needs.
 
 Scaled return intervals are whole minutes divided by <tau>, so they sit on
 a lattice with step h = 1 / <tau>. For such data ``fit_mle`` maximizes the
-interval-censored likelihood, in which tau = k means the continuous
-interval fell in ((k - 1) h, k h] (the discretised-Weibull idea of Nakagawa
-& Osaki 1975). A cell's mass is P(1/gamma, a h**gamma) for the first cell and
-12-point Gauss-Legendre quadrature of the density for the others, which
-avoids the cancellation in a difference of two nearly equal survival values;
-a cell too wide in u for the rule takes that difference, which then cannot
-cancel.
+interval-censored likelihood of ``volint.lattice`` instead.
 
 For continuous data the likelihood has a closed-form maximum in a at fixed
 gamma, a(gamma) = n / (gamma * sum(x**gamma)), so ``fit_mle`` maximizes the
 profile likelihood over gamma alone: its score in gamma is a closed form in
 the x**gamma-weighted moments of log x and in digamma and trigamma at
-1/gamma, and a safeguarded Newton search finds its root. The censored
-likelihood has no closed-form a(gamma), so safeguarded Newton runs in
-(log a, gamma) jointly, with the gradient and Hessian in closed form at the
-same quadrature nodes. The least-squares fit is profiled over gamma, with
-(log c, a) a linear fit at each gamma, by golden-section search.
+1/gamma, and a safeguarded Newton search finds its root. The least-squares
+fit is profiled over gamma, with (log c, a) a linear fit at each gamma, by
+golden-section search.
 """
 
 from __future__ import annotations
@@ -51,16 +43,8 @@ from .intervals import PdfTable
 
 GAMMA_BOUNDS = (0.05, 2.0)
 _EPS = float(np.finfo(np.float64).eps)
-# 12-point Gauss-Legendre rule on [-1, 1] for the lattice cell masses: the
-# values of numpy.polynomial.legendre.leggauss(12), whose import costs ~2 MiB
-_GL_NODES = np.array([-0.9815606342467192, -0.9041172563704748, -0.7699026741943047, -0.5873179542866175,
-                      -0.3678314989981802, -0.1252334085114689, 0.1252334085114689, 0.3678314989981802,
-                      0.5873179542866175, 0.7699026741943047, 0.9041172563704748, 0.9815606342467192])  # fmt: skip
-_GL_WEIGHTS = np.array([0.04717533638651141, 0.10693932599531907, 0.16007832854334642, 0.20316742672306573,
-                        0.2334925365383546, 0.2491470458134027, 0.2491470458134027, 0.2334925365383546,
-                        0.20316742672306573, 0.16007832854334642, 0.10693932599531907, 0.04717533638651141])  # fmt: skip
-# a cell wider than this in u = a x**gamma is beyond the rule's accuracy
-_WIDE_CELL = 8.0
+# series sums of at most this many elements with their own s run element by element
+_FEW = 16
 
 
 def normalization_c(a: float, gamma: float) -> float:
@@ -143,74 +127,132 @@ def se_cdf(model: SEModel, x) -> np.ndarray:
     return _gammainc(1.0 / model.gamma, model.a * x**model.gamma)
 
 
-def _log_series(s: float, u):
-    """log P(s, u) for u < s + 1, a float or an array, by the power series
+def _cdf_rows(a: np.ndarray, g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """CDF of the normalized members (a_i, gamma_i) at the points x >= 0, one row per member."""
+    u = x ** g[:, None]
+    u *= a[:, None]
+    return _gammainc((1.0 / g)[:, None], u)
+
+
+def _lgamma(x):
+    """log Gamma(x) of a float, or of each element of an array."""
+    if np.ndim(x) == 0:
+        return math.lgamma(x)
+    return np.array([math.lgamma(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+
+
+def _log_series(s, u, lgamma_s1):
+    """log P(s, u) for u < s + 1 by the power series
 
         P = u**s e**-u / Gamma(s + 1) * sum_n u**n / ((s + 1) ... (s + n)),
 
-    summed by Horner's rule with as many terms as the largest u needs.
+    summed by Horner's rule with as many terms as the slowest element
+    needs: for a float s the largest u, for an array s (like u) the largest
+    term at each depth. u is a float or an array; ``lgamma_s1`` is
+    lgamma(s + 1), a float or an array like s. A few elements with their own
+    s are summed one at a time, in floats, which is quicker.
     """
-    u_max, n, term = float(np.max(u)), 0, 1.0
-    while term > _EPS:
-        n += 1
-        term *= u_max / (s + n)
+    if np.ndim(s) and np.size(u) <= _FEW:
+        each = zip(s.tolist(), np.ravel(u).tolist(), lgamma_s1.tolist())
+        return np.array([_log_series(*z) if z[1] > 0.0 else -np.inf for z in each])
+    if np.ndim(s):
+        n, term = 0, np.ones(np.shape(u))
+        while term.max() > _EPS:
+            n += 1
+            term *= u / (s + n)
+    else:
+        u_max, n, term = float(np.max(u)) if np.ndim(u) else u, 0, 1.0
+        while term > _EPS:
+            n += 1
+            term *= u_max / (s + n)
     total = 1.0
     for j in range(n, 0, -1):
         total *= u
         total /= s + j
         total += 1.0
     with np.errstate(divide="ignore"):
-        return s * np.log(u) - u - math.lgamma(s + 1.0) + np.log(total)
+        return s * np.log(u) - u - lgamma_s1 + np.log(total)
 
 
-def _log_fraction(s: float, u):
+def _lentz_depth(s, u) -> int:
+    """Depth at which the modified Lentz recurrence for Q(s, u) has converged at every pair (s, u)."""
+    b = u + 1.0 - s
+    c, d = math.inf, 1.0 / b
+    converged = False
+    for depth in range(1, 1000):
+        b = b + 2.0
+        a = depth * (s - depth)
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        converged = converged | (np.abs(c * d - 1.0) <= _EPS)
+        if np.all(converged):
+            break
+    return depth
+
+
+def _log_fraction(s, u, lgamma_s, depth: int):
     """log Q(s, u) = log(1 - P(s, u)) for finite u >= s + 1, a float or an array.
 
     Legendre's continued fraction
 
         Q = u**s e**-u / Gamma(s) / (u + 1 - s + 1 (s - 1) / (u + 3 - s + 2 (s - 2) / ...))
 
-    is evaluated bottom up, as deep as the modified Lentz recurrence needs
-    to converge at the smallest u, where it converges slowest.
+    is evaluated bottom up, ``depth`` deep. s and ``lgamma_s`` = lgamma(s)
+    are floats or arrays like u.
     """
-    b = float(np.min(u)) + 1.0 - s
-    c, d = math.inf, 1.0 / b
-    for depth in range(1, 1000):
-        b += 2.0
-        d = 1.0 / (depth * (s - depth) * d + b)
-        c = b + depth * (s - depth) / c
-        if abs(c * d - 1.0) <= _EPS:
-            break
     f = u + (2 * depth + 1 - s)
     for j in range(depth, 0, -1):
         f **= -1
         f *= j * (s - j)
         f += u
         f += 2 * j - 1 - s
-    return s * np.log(u) - u - math.lgamma(s) - np.log(f)
+    log_q = np.log(u)  # s log u - u - lgamma(s) - log f, without whole-size temporaries
+    log_q *= s
+    log_q -= u
+    log_q -= lgamma_s
+    log_q -= np.log(f)
+    return log_q
 
 
-def _gammainc_logs(s: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gammainc_logs(s, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(low, v) for an array u >= 0: v = log P(s, u) where ``low`` (u < s + 1), else log Q(s, u).
 
+    s is a float, an array like u, or one per row of u (shape (..., 1)).
     Both are taken in log space, so neither underflows; log Q is -inf at
-    u = inf, and NaN stays NaN.
+    u = inf, and NaN stays NaN. The continued fraction for Q is taken as
+    deep as the Lentz recurrence needs to converge where it converges
+    slowest for each s, at its smallest u: over u for a float s, along each
+    row for one s per row, and at every pair for an array like u.
     """
     u = np.asarray(u, dtype=np.float64)
     low = u < s + 1.0
-    v = np.where(np.isnan(u), np.nan, -np.inf)
-    if np.any(low):
-        v[low] = _log_series(s, u[low])
     mid = ~low & (u < np.inf)
+    v = np.where(np.isnan(u), np.nan, -np.inf)
+
+    def pick(z, mask):  # z, a float or one per row of u or like u, at the elements of mask
+        return np.broadcast_to(z, u.shape)[mask] if np.ndim(z) else z
+
+    if np.any(low):
+        v[low] = _log_series(pick(s, low), u[low], pick(_lgamma(s + 1.0), low))
     if np.any(mid):
-        v[mid] = _log_fraction(s, u[mid])
+        if np.ndim(s) == 0:
+            depth = _lentz_depth(s, float(np.min(u[mid])))
+        else:
+            probe = np.where(mid, u, np.inf)
+            if np.shape(s)[-1] == 1:
+                probe = probe.min(axis=-1, keepdims=True)
+            shown = np.isfinite(probe)
+            depth = _lentz_depth(np.broadcast_to(s, probe.shape)[shown], probe[shown])
+        v[mid] = _log_fraction(pick(s, mid), u[mid], pick(_lgamma(s), mid), depth)
     return low, v
 
 
 def _gammainc(s: float, u) -> np.ndarray:
     """Regularized lower incomplete gamma function P(s, u) for u >= 0."""
     low, v = _gammainc_logs(s, u)
-    return np.where(low, np.exp(v), -np.expm1(v))[()]
+    p = np.negative(np.expm1(v), out=np.empty_like(v))
+    p[low] = np.exp(v[low])
+    return p[()]
 
 
 def digamma(x: float) -> float:
@@ -301,155 +343,6 @@ def _profile_nll(g: float, shifted_log_x: np.ndarray, top: float) -> float:
     return -len(shifted_log_x) * (np.log(g) + (log_a - 1.0) / g - math.lgamma(1.0 / g))
 
 
-def _edge_log_p(s: float, u_lo: np.ndarray, u_hi: np.ndarray) -> np.ndarray:
-    """log(Q(s, u_lo) - Q(s, u_hi)), from log P(s, u_hi) for the first cell (u_lo = 0) and log P or Q otherwise."""
-    log_p = np.empty(len(u_hi))
-    first = u_lo == 0.0
-    for i in np.flatnonzero(first):  # the cells are distinct, so at most one
-        u1 = float(u_hi[i])
-        log_p[i] = _log_series(s, u1) if u1 < s + 1.0 else math.log(-math.expm1(_log_fraction(s, u1)))
-    if not np.all(first):
-        low, v = _gammainc_logs(s, np.concatenate([u_lo[~first], u_hi[~first]]))
-        log_lower, log_upper = np.split(np.where(low, np.log1p(-np.exp(v)), v), 2)
-        log_p[~first] = log_lower + np.log(-np.expm1(log_upper - log_lower))
-    return log_p
-
-
-def _cell_terms(a: float, g: float, k: np.ndarray, h: float):
-    """log of the model's mass in each cell ((k-1) h, k h], with the terms its derivatives need.
-
-    A cell holds c times the integral of exp(-a x**gamma) over it, by
-    Gauss-Legendre quadrature, with each row's smallest u = a x**gamma
-    factored out so nothing underflows. The first cell and any cell wider
-    than ``_WIDE_CELL`` in u take ``_edge_log_p``: there the difference
-    cannot cancel, and the quadrature would lose accuracy. Returns (log p,
-    u at (k-1) h, u at k h, u at the nodes, each node's share of its cell's
-    mass, mask of the ``_edge_log_p`` cells).
-    """
-    u_lo = a * ((k - 1.0) * h) ** g
-    u_hi = a * (k * h) ** g
-    u = a * (((k - 0.5) * h)[:, None] + (0.5 * h) * _GL_NODES) ** g
-    mass = np.exp(u[:, :1] - u) * _GL_WEIGHTS
-    total = np.sum(mass, axis=1)
-    log_ch = math.log(g) + math.log(a) / g - math.lgamma(1.0 / g) + math.log(0.5 * h)
-    log_p = np.log(total) + log_ch - u[:, 0]
-    edge = (k == 1) | (u_hi - u_lo > _WIDE_CELL)
-    if np.any(edge):
-        log_p[edge] = _edge_log_p(1.0 / g, u_lo[edge], u_hi[edge])
-    return log_p, u_lo, u_hi, u, mass / total[:, None], edge
-
-
-def _cell_log_p(a: float, g: float, k: np.ndarray, h: float):
-    """(log p, u at (k-1) h, u at k h) of ``_cell_terms``."""
-    return _cell_terms(a, g, k, h)[:3]
-
-
-def _censored_nll(params: np.ndarray, k: np.ndarray, count: np.ndarray, h: float) -> float:
-    """Negative log-likelihood of lattice counts: tau = k lies in ((k-1) h, k h]."""
-    a, g = params
-    if a <= 0 or g <= 0:
-        return np.inf
-    return -float(np.dot(count, _cell_log_p(a, g, k, h)[0]))
-
-
-def _t_derivs(s: float, u_lo: np.ndarray, u_hi: np.ndarray, log_p: np.ndarray):
-    """First and second derivatives of each cell's log p in t = log a, from its edges.
-
-    With psi(u) = u**s e**-u / Gamma(s), dp/dt = psi(u_hi) - psi(u_lo) and
-    dpsi/dt = psi (s - u): closed forms in the ratios psi/p, in log space.
-    """
-    with np.errstate(divide="ignore"):
-        r_lo = np.exp(s * np.log(u_lo) - u_lo - math.lgamma(s) - log_p)
-        r_hi = np.exp(s * np.log(u_hi) - u_hi - math.lgamma(s) - log_p)
-    d_t = r_hi - r_lo
-    return d_t, r_hi * (s - u_hi) - r_lo * (s - u_lo) - d_t * d_t
-
-
-def _censored_derivs(t: float, g: float, free: bool, k: np.ndarray, count: np.ndarray, h: float, log_x: np.ndarray):
-    """Censored log-likelihood at (t = log a, gamma), with its gradient and Hessian.
-
-    Per quadrature node, log f = log gamma + s t - lgamma(s) - u, with
-    s = 1/gamma, u = e**t x**gamma and L = log x (``log_x``), so
-
-        d/dt log f = s - u,                 d2/dt2 = -u,
-        d/dgamma log f = s - (t - psi(s)) s**2 - u L,
-        d2/dt dgamma = -s**2 - u L,
-        d2/dgamma2 = -s**2 + 2 (t - psi(s)) s**3 - psi'(s) s**4 - u L**2.
-
-    A cell's log p, the log of a weighted sum of f, has as gradient the
-    node-share mean of the first derivatives and as Hessian the mean of the
-    second plus the share covariance of the first. ``_edge_log_p`` cells
-    take their t derivatives from ``_t_derivs`` and their gamma derivatives
-    by central differences. Returns (log-likelihood, (d/dt, d/dgamma),
-    (d2/dt2, d2/dt dgamma, d2/dgamma2)); unless gamma is ``free`` the gamma
-    parts are 0, with a gamma curvature of -1, so that only t moves.
-    """
-    s, a = 1.0 / g, math.exp(t)
-    log_p, u_lo, u_hi, u, w, edge = _cell_terms(a, g, k, h)
-    m_u = np.sum(w * u, axis=1)
-    du = u - m_u[:, None]
-    d_t, d_tt = s - m_u, np.sum(w * du * du, axis=1) - m_u
-    if np.any(edge):
-        d_t[edge], d_tt[edge] = _t_derivs(s, u_lo[edge], u_hi[edge], log_p[edge])
-    ll = float(count @ log_p)
-    if not free:
-        return ll, (float(count @ d_t), 0.0), (float(count @ d_tt), 0.0, -1.0)
-    ul = u * log_x
-    m_ul = np.sum(w * ul, axis=1)
-    dul = ul - m_ul[:, None]
-    r = (t - digamma(s)) * s * s
-    d_g = s - r - m_ul
-    d_tg = np.sum(w * du * dul, axis=1) - m_ul - s * s
-    d_gg = np.sum(w * (dul * dul - ul * log_x), axis=1) - s * s + 2.0 * r * s - trigamma(s) * s**4
-    if np.any(edge):
-        x_lo, x_hi, step = (k[edge] - 1.0) * h, k[edge] * h, 1e-5 * g
-        sides = []
-        for gi in (g - step, g + step):
-            side_lo, side_hi = a * x_lo**gi, a * x_hi**gi
-            side_p = _edge_log_p(1.0 / gi, side_lo, side_hi)
-            sides.append((side_p, _t_derivs(1.0 / gi, side_lo, side_hi, side_p)[0]))
-        (p_minus, t_minus), (p_plus, t_plus) = sides
-        d_g[edge] = (p_plus - p_minus) / (2.0 * step)
-        d_gg[edge] = (p_plus - 2.0 * log_p[edge] + p_minus) / step**2
-        d_tg[edge] = (t_plus - t_minus) / (2.0 * step)
-    return ll, (float(count @ d_t), float(count @ d_g)), tuple(float(count @ d) for d in (d_tt, d_tg, d_gg))
-
-
-def _censored_newton(t: float, g: float, free: bool, args: tuple) -> tuple[float, float, float]:
-    """Maximize the censored likelihood from (t = log a, gamma) by safeguarded Newton.
-
-    A step solves the 2x2 Newton system where the Hessian is negative
-    definite and follows the gradient elsewhere. It moves t alone where
-    gamma is not ``free``, or sits on a bound of GAMMA_BOUNDS that the step
-    would leave (the likelihood is concave in t). Each step is capped at 1
-    in t and 1/4 in gamma, and halved until the likelihood does not fall by
-    more than rounding. A step below 1e-8 in t and 1e-8 gamma in gamma is
-    the last, taken without a new pass: Newton's quadratic convergence
-    leaves only rounding after it. ``args`` is (k, count, h, log x at the
-    quadrature nodes). Returns the log-likelihood at the last iterate
-    evaluated, and (t, gamma) after the last step.
-    """
-    lo, hi = GAMMA_BOUNDS
-    ll, (g_t, g_g), (h_tt, h_tg, h_gg) = _censored_derivs(t, g, free, *args)
-    for _ in range(100):
-        det = h_tt * h_gg - h_tg * h_tg
-        dt, dg = ((h_tg * g_g - h_gg * g_t) / det, (h_tg * g_t - h_tt * g_g) / det) if h_tt < 0 < det else (g_t, g_g)
-        if (g <= lo and dg < 0) or (g >= hi and dg > 0):
-            dt, dg = -g_t / h_tt if h_tt < 0 else g_t, 0.0
-        scale = 1.0 / max(1.0, abs(dt), 4.0 * abs(dg))
-        dt, dg = dt * scale, dg * scale
-        while abs(dt) > 1e-8 or abs(dg) > 1e-8 * g:
-            trial = _censored_derivs(t + dt, min(max(g + dg, lo), hi), free, *args)
-            if trial[0] >= ll - 1e-13 * abs(ll):
-                break
-            dt, dg = 0.5 * dt, 0.5 * dg
-        else:  # converged: the step left is below rounding in the likelihood; or NaN derivatives
-            return (ll, t + dt, min(max(g + dg, lo), hi)) if math.isfinite(dt + dg) else (ll, t, g)
-        t, g = t + dt, min(max(g + dg, lo), hi)
-        ll, (g_t, g_g), (h_tt, h_tg, h_gg) = trial
-    return ll, t, g
-
-
 def fit_mle(sample: np.ndarray) -> SEModel:
     """Maximum-likelihood fit of (a, gamma) with c constrained.
 
@@ -460,7 +353,7 @@ def fit_mle(sample: np.ndarray) -> SEModel:
     by safeguarded Newton, or a bound where the likelihood is higher. The
     view ``IntervalSample.scaled()`` returns is lattice input: the
     interval-censored likelihood of its sample's ``counts`` (k, c_k) at the
-    step h = 1 / <tau> is maximized by ``_fit_lattice``.
+    step h = 1 / <tau> is maximized by ``lattice.fit_lattice``.
 
     Parameters
     ----------
@@ -484,39 +377,12 @@ def fit_mle(sample: np.ndarray) -> SEModel:
     if len(x) < 50:
         raise ValueError("MLE fit needs at least 50 values")
     if getattr(sample, "sample", None) is not None:
-        return _fit_lattice(*sample.sample.counts, sample.step)
+        from .lattice import fit_lattice  # the lattice module builds on this one
+
+        return fit_lattice(*sample.sample.counts, sample.step)
     if not np.all(np.isfinite(x)) or np.any(x <= 0):
         raise ValueError("MLE fit needs strictly positive finite values")
     return _fit_profile(x)
-
-
-def _fit_lattice(k: np.ndarray, count: np.ndarray, h: float) -> SEModel:
-    """Censored MLE of the lattice values k h, each occurring ``count`` times.
-
-    A value k h is censored to ((k-1) h, k h], so the likelihood is
-    sum_k c_k log(S((k-1) h) - S(k h)), S the model's survival function.
-    Safeguarded Newton maximizes it over (log a, gamma) from the continuous
-    profile root in gamma, and over log a alone at either bound of
-    [0.05, 2]; the most likely run wins. Each run starts at the continuous
-    a(gamma) = n / (gamma * sum_k c_k (k h)**gamma) of its gamma.
-    """
-    if len(k) < 2:
-        raise FitFailureError("all values in one lattice cell: the likelihood has no interior maximum")
-    n = int(count.sum())
-    log_k = np.log(k)
-    root = _profile_score_root(log_k - float(log_k[-1]), count)
-    args = (k, count, h, np.log(((k - 0.5) * h)[:, None] + (0.5 * h) * _GL_NODES))
-    lo, hi = GAMMA_BOUNDS
-    runs = [
-        _censored_newton(float(np.log(_profile_a(g, count * (k * h) ** g, n))), g, free, args)
-        for g, free in ((root, True), (lo, False), (hi, False))
-    ]
-    ll, t, g = max(runs, key=lambda run: run[0] if np.isfinite(run[0]) else -np.inf)
-    with np.errstate(over="ignore"):
-        a = float(np.exp(t))
-    if not (np.isfinite(ll) and 0.0 < a < np.inf):
-        raise FitFailureError("censored likelihood has no finite optimum", best=(a, g))
-    return SEModel.normalized(a=a, gamma=g)
 
 
 def _profile_score_root(shifted_log_x: np.ndarray, count: np.ndarray | None = None) -> float:
@@ -659,11 +525,13 @@ def fit_lsq(pdf: PdfTable) -> SEModel:
 class FitReport:
     """Fit summary: parameters plus goodness of fit.
 
-    ``p`` is the p-value of ``ks`` (None when none was computed), ``ks``
-    the one-sample KS distance of the data to the model, ``n_boot`` the
-    configured replicate count, which only a refit bootstrap draws, and
-    ``n_failed_refits`` counts bootstrap replicates dropped because their
-    refit failed (only possible with refit=True).
+    ``p`` is the p-value of ``ks`` (None when none was computed). ``ks`` is
+    the one-sample KS distance of the data to the model, or, from the refit
+    bootstrap of lattice input, the discrete KS distance at the knots
+    max_k |C_k / n - F(k / <tau>)|. ``n_boot`` is the configured replicate
+    count, which only a refit bootstrap draws, and ``n_failed_refits``
+    counts bootstrap replicates dropped because their refit failed (only
+    possible with refit=True).
     """
 
     model: SEModel

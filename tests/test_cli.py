@@ -277,18 +277,27 @@ def test_analyze_moments_failure_exits_4(tmp_path, corpus_cfg, capsys):
     assert (out / "fits.csv").is_file()
 
 
-def test_analyze_order_curve_target_above_top_value_mean(tmp_path, capsys):
-    # the highest candidate keeps only the two largest values, whose one
-    # interval is below the target 100; a lower candidate reaches it
+def test_analyze_order_curve_target_above_top_value_mean(tmp_path, corpus_csv, corpus_cfg):
+    # one minute's price is raised 50%, so the returns into and out of it are
+    # the two largest values, one position apart. The highest candidate keeps
+    # only them, and its mean interval of 1 is below the target 100; a lower
+    # candidate reaches it
+    lines = corpus_csv.read_text().splitlines()
+    stamp, price = lines[10_001].split(",")
+    lines[10_001] = f"{stamp},{1.5 * float(price)!r}"
     ticks, out = tmp_path / "ticks.csv", tmp_path / "o"
-    assert main(["synth", "--kind", "se_intervals", "--n", "35000", "--seed", "328", "--out", str(ticks)]) == 0
-    assert main(["analyze", "--input", str(ticks), "--out-dir", str(out), "--seed", "7"]) == 0
+    ticks.write_text("\n".join(lines) + "\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(corpus_cfg(out, input=str(ticks), mean_targets=[5.0, 100.0])))
+    assert main(["analyze", "--config", str(cfg_path)]) == 0
     v = np.loadtxt(out / "volatility.csv", delimiter=",", skiprows=1, usecols=2)
     first, second = np.argsort(v)[::-1][:2]
-    assert abs(int(first) - int(second)) < 99.5
-    curve = json.loads((out / "summary.json").read_text())["order_curves"][2]
+    assert abs(int(first) - int(second)) == 1
+    curve = json.loads((out / "summary.json").read_text())["order_curves"][1]
     assert curve["target_mean"] == 100.0
-    assert (curve["q"], curve["achieved_mean"]) == (4.293890364713278, 99.91977077363897)
+    assert abs(curve["achieved_mean"] - 100.0) < 1.0
+    kept = np.flatnonzero(v > curve["q"])
+    assert np.mean(np.diff(kept)) == curve["achieved_mean"]
 
 
 def test_analyze_failed_lsq_fit_exits_4_without_fits(tmp_path, corpus_cfg, capsys):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,11 +26,14 @@ from volint import (
     empirical_cdf,
     extract_intervals,
     fit_mle,
+    gen_iid_volatility,
     kolmogorov_sf,
     ks_matrix,
     one_sample_ks,
+    se_cdf,
     two_sample_ks,
 )
+from volint.lattice import LatticeRefit, _cell_log_p, fit_lattice
 
 
 def test_critical_value_hand():
@@ -568,3 +572,140 @@ def test_refit_replicates_score_few_cdf_points(monkeypatch):
 def test_refit_null_pvalues_unchanged(k, p):
     x = SEModel.normalized(14.2, 0.38).sample(3000, seed=100 + k)
     assert bootstrap_pvalue(x, fit_mle(x), n_boot=200, seed=k, refit=True).p == p
+
+
+
+def _lattice_samples():
+    """A geometric (iid) sample and a planted stretched-exponential one with K near 400, as lattice views."""
+    geometric = np.random.default_rng(21).geometric(0.15, 3_000)
+    x = SEModel.normalized(14.2, 0.38).sample(4_000, seed=22)
+    planted = np.ceil(x / np.mean(x) * 15.0).astype(np.int64)
+    samples = [IntervalSample(q=q, tau=t, source_length=int(t.sum())) for q, t in [(2.0, geometric), (3.0, planted)]]
+    return [s.scaled() for s in samples]
+
+
+def _replicates(view, model, n_boot, seed):
+    """The lattice bootstrap's replicate counts, drawn in one call, and their lockstep refits."""
+    refit = LatticeRefit(model, int(view.sample.counts[0][-1]), view.step)
+    counts = np.random.default_rng(seed).multinomial(len(view), refit.cell_p, size=n_boot)
+    return counts, refit.fit(counts)
+
+
+def _knot_distance(counts, model, view):
+    """max_k |C_k / n - F(k h)| over k = 1 ... K, straight from se_cdf; the last count is the open tail."""
+    k = np.arange(1.0, len(counts))
+    return float(np.max(np.abs(np.cumsum(counts[:-1]) / len(view) - se_cdf(model, k / view.sample.mean_interval))))
+
+
+@pytest.mark.parametrize("i", [0, 1], ids=["geometric", "planted"])
+def test_lockstep_refits_match_lattice_fits(i):
+    view = _lattice_samples()[i]
+    counts, (a, g, ok) = _replicates(view, fit_mle(view), 24, seed=i)
+    assert ok.all() and np.any(counts[:, -1] > 0)  # some replicates fill the open tail cell
+    h, k_open = view.step, float(counts.shape[1])
+    for row, a_b, g_b in zip(counts, a, g):
+        k = np.flatnonzero(row) + 1.0
+        c = row[row > 0]
+        alone = fit_lattice(k, c, h, k_open)
+
+        def nll(a, g):
+            return -float(np.sum(c * _cell_log_p(a, g, k, h, k_open)[0]))
+
+        assert abs(g_b / alone.gamma - 1.0) <= 1e-8
+        assert nll(a_b, g_b) <= nll(alone.a, alone.gamma) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("i", [0, 1], ids=["geometric", "planted"])
+def test_lattice_refit_p_from_knot_distances(i, monkeypatch):
+    for name in ("se_sample", "fit_mle"):
+        monkeypatch.setattr(volint.kstest, name, lambda *args: pytest.fail(f"the lattice bootstrap called {name}"))
+    view = _lattice_samples()[i]
+    model = fit_mle(view)
+    n_boot = 150
+    report = bootstrap_pvalue(view, model, n_boot=n_boot, seed=i, refit=True)
+    observed = np.append(np.bincount(view.sample.tau)[1:], 0)
+    assert report.ks == pytest.approx(_knot_distance(observed, model, view), rel=0, abs=1e-14)
+    counts, (a, g, ok) = _replicates(view, model, n_boot, seed=i)
+    distances = [_knot_distance(row, SEModel.normalized(a_b, g_b), view) for row, a_b, g_b in zip(counts, a, g)]
+    knots = np.arange(1.0, counts.shape[1]) / view.sample.mean_interval
+    batched = volint.kstest._knot_distances(knots, np.cumsum(counts[:, :-1], axis=1) / len(view), a, g)
+    np.testing.assert_allclose(batched, distances, rtol=0, atol=1e-14)
+    assert report.p == np.mean(np.array(distances) > report.ks)
+    assert (report.n, report.q, report.n_failed_refits) == (len(view), view.sample.q, 0)
+    # the knot distance is not the one-sample KS, which counts the lattice steps
+    assert report.ks < 0.5 * one_sample_ks(view.sample, model)
+    fixed = bootstrap_pvalue(view, model, n_boot=n_boot, seed=i)
+    assert (fixed.ks, fixed.p) == (one_sample_ks(view.sample, model), bootstrap_pvalue(view.sample, model).p)
+
+
+def test_lattice_refit_counts_failed_refits():
+    # nearly every interval is one minute, so some replicates fill one cell and have no interior optimum
+    tau = np.repeat([1, 2], [57, 3])
+    view = IntervalSample(q=4.0, tau=tau, source_length=int(tau.sum())).scaled()
+    model = fit_mle(view)
+    n_boot = 200
+    report = bootstrap_pvalue(view, model, n_boot=n_boot, seed=3, refit=True)
+    counts, (a, g, ok) = _replicates(view, model, n_boot, seed=3)
+    one_cell = np.count_nonzero(counts, axis=1) == 1
+    assert np.array_equal(~ok, one_cell) and 0 < report.n_failed_refits == one_cell.sum() < n_boot
+    fits = [SEModel.normalized(a_b, g_b) for a_b, g_b in zip(a[ok], g[ok])]
+    distances = [_knot_distance(row, fit, view) for row, fit in zip(counts[ok], fits)]
+    assert report.p == np.mean(np.array(distances) > report.ks)
+    # a model with all its mass in the first cell: every replicate fills that cell alone
+    with pytest.raises(FitFailureError, match="every bootstrap replicate failed to refit"):
+        bootstrap_pvalue(view, SEModel.normalized(60.0, 1.0), n_boot=20, seed=3, refit=True)
+
+
+def test_lattice_refit_p_is_calibrated_on_the_iid_null():
+    # iid exceedances give geometric intervals, the censored model at gamma = 1
+    n_seeds = 40
+    low = {2.0: 0, 3.0: 0}
+    for seed in range(n_seeds):
+        v = gen_iid_volatility(10_000, seed=seed)
+        for q in low:
+            view = extract_intervals(v, q).scaled()
+            low[q] += bootstrap_pvalue(view, fit_mle(view), n_boot=100, seed=seed, refit=True).p < 0.05
+    for q, count in low.items():
+        assert 0.01 <= count / n_seeds <= 0.10, (q, count)
+
+
+def test_lattice_refit_bootstrap_memory_is_bounded():
+    view = _lattice_samples()[1]
+    assert 350 <= view.sample.counts[0][-1] <= 500
+    model = fit_mle(view)
+    tracemalloc.start()
+    try:
+        bootstrap_pvalue(view, model, n_boot=1000, seed=0, refit=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_lattice_refit_p_does_not_depend_on_the_block_size(monkeypatch):
+    view = _lattice_samples()[1]
+    model = fit_mle(view)
+    reports = []
+    for rows in (7, 100, 1000):
+        monkeypatch.setattr(volint.kstest, "_BOOT_ROWS", rows)
+        reports.append(bootstrap_pvalue(view, model, n_boot=120, seed=5, refit=True))
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_lattice_refit_same_bits_at_any_blas_thread_count(blas_envs):
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, 'tests')\n"
+        "from test_kstest import _lattice_samples\n"
+        "from volint import bootstrap_pvalue, fit_mle\n"
+        "for view in _lattice_samples():\n"
+        "    r = bootstrap_pvalue(view, fit_mle(view), n_boot=100, seed=1, refit=True)\n"
+        "    print(r.model.a.hex(), r.model.gamma.hex(), r.ks.hex(), r.p.hex(), r.n_failed_refits)\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    outputs = [
+        subprocess.run([sys.executable, "-c", code], env=env, cwd=root, capture_output=True, text=True, check=True)
+        for env in blas_envs
+    ]
+    outputs = [run.stdout for run in outputs]
+    assert outputs[0] == outputs[1] and outputs[0].count("\n") == 2

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import digamma, gammainc, gammaincc, gammaincinv, gammaln, polygamma
 
+import volint.lattice
 import volint.semodel
 from volint import (
     FitFailureError,
@@ -23,18 +24,20 @@ from volint import (
     se_cdf,
 )
 from volint.intervals import scaled_pdf
-from volint.semodel import (
+from volint.lattice import (
+    _GL6_NODES,
+    _GL6_WEIGHTS,
     _GL_NODES,
     _GL_WEIGHTS,
     _WIDE_CELL,
-    GAMMA_BOUNDS,
+    _Cells,
+    _cell_edges,
     _cell_log_p,
-    _cell_terms,
     _censored_derivs,
     _censored_nll,
-    _gammainc,
-    _profile_nll,
+    _grid,
 )
+from volint.semodel import GAMMA_BOUNDS, _gammainc, _profile_nll
 
 PAIRS = [(2.0, 0.3), (5.79, 0.43), (14.2, 0.38), (26.0, 0.6), (1.0, 1.0)]
 
@@ -300,20 +303,21 @@ def test_fit_mle_censored_optimum_and_start(i, monkeypatch):
     assert nll <= _censored_nll(np.array(_LBFGSB_FITS[i]), k, count, sample.step) + 1e-9
 
     # the Newton start is a(gamma) of the continuous likelihood
-    profile_a = volint.semodel._profile_a
+    profile_a = volint.lattice._profile_a
     for factor in (1.01, 0.5):
-        monkeypatch.setattr(volint.semodel, "_profile_a", lambda g, *rest, f=factor: f * profile_a(g, *rest))
+        monkeypatch.setattr(volint.lattice, "_profile_a", lambda g, *rest, f=factor: f * profile_a(g, *rest))
         assert abs(fit_mle(sample).gamma - fitted.gamma) <= 1e-6
 
 
 def test_fit_mle_censored_makes_few_likelihood_passes(monkeypatch):
-    # every evaluation of the censored likelihood goes through _cell_terms
-    real = volint.semodel._cell_terms
+    # every pass over the censored likelihood goes through _censored_derivs,
+    # which evaluates the three Newton runs in lockstep
+    real = volint.lattice._censored_derivs
     for sample in _lattice_cases():
         calls = []
-        monkeypatch.setattr(volint.semodel, "_cell_terms", lambda *args: calls.append(1) or real(*args))
+        monkeypatch.setattr(volint.lattice, "_censored_derivs", lambda *args: calls.append(1) or real(*args))
         fit_mle(sample)
-        assert len(calls) <= 15
+        assert len(calls) <= 8
 
 
 def test_censored_derivatives_match_differences():
@@ -322,13 +326,23 @@ def test_censored_derivatives_match_differences():
     sample = _lattice_cases()[-1]
     k, count = np.unique(np.rint(np.asarray(sample) / sample.step), return_counts=True)
     h = sample.step
-    log_x = np.log(((k - 0.5) * h)[:, None] + (0.5 * h) * _GL_NODES)
+    cells = np.arange(len(k))
+    one = _Cells(_grid(k, h), np.zeros(len(k), dtype=np.intp), cells, count)
 
     def derivs(t, g):
-        return _censored_derivs(t, g, True, k, count, h, log_x)
+        ll, grad, hess = _censored_derivs(np.array([t]), np.array([g]), np.ones(1, dtype=bool), one)
+        return float(ll[0]), tuple(float(d[0]) for d in grad), tuple(float(d[0]) for d in hess)
 
-    for t, g, n_edge in ((0.6, 0.55, 1), (-0.5, 1.7, 2), (0.9, 1.0, 1)):
-        edge = _cell_terms(np.exp(t), g, k, h)[5]
+    points = ((0.6, 0.55, 1), (-0.5, 1.7, 2), (0.9, 1.0, 1))
+    # the three points as three runs of one lockstep pass give each run's own bits
+    three = _Cells(_grid(k, h), np.repeat(np.arange(3), len(k)), np.tile(cells, 3), np.tile(count, 3))
+    t3, g3 = np.array([p[0] for p in points]), np.array([p[1] for p in points])
+    ll3, grad3, hess3 = _censored_derivs(t3, g3, np.ones(3, dtype=bool), three)
+    for i, (t, g, _) in enumerate(points):
+        assert derivs(t, g) == (ll3[i], (grad3[0][i], grad3[1][i]), tuple(d[i] for d in hess3))
+
+    for t, g, n_edge in points:
+        edge = _cell_edges(t, g, one.grid.log_lo, one.grid.log_hi)[2]
         assert edge[0] and edge.sum() == n_edge
         ll, grad, hess = derivs(t, g)
         assert ll == -_censored_nll(np.array([np.exp(t), g]), k, count, h)
@@ -346,9 +360,27 @@ def test_censored_derivatives_match_differences():
 
 
 def test_gauss_legendre_constants_are_leggauss():
-    nodes, weights = np.polynomial.legendre.leggauss(12)
-    assert _GL_NODES.tobytes() == nodes.tobytes()
-    assert _GL_WEIGHTS.tobytes() == weights.tobytes()
+    for n, (nodes, weights) in ((12, (_GL_NODES, _GL_WEIGHTS)), (6, (_GL6_NODES, _GL6_WEIGHTS))):
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+        assert nodes.tobytes() == want_nodes.tobytes()
+        assert weights.tobytes() == want_weights.tobytes()
+
+
+def test_six_point_rule_agrees_on_narrow_cells(monkeypatch):
+    # the 6-point rule takes the cells k >= 8 at most _NARROW_CELL wide in u;
+    # with no cell narrow, the 12-point rule takes them all
+    for sample in _lattice_cases():
+        k, count = sample.sample.counts
+        cells = _Cells(_grid(k, sample.step), np.zeros(len(k), dtype=np.intp), np.arange(len(k)), count)
+        fit = fit_mle(sample)
+        for t, g in ((np.log(fit.a), fit.gamma), (np.log(fit.a) + 0.3, 0.9 * fit.gamma)):
+            args = (np.array([t]), np.array([g]), np.ones(1, dtype=bool), cells)
+            six = volint.lattice._cell_derivs(*args)
+            monkeypatch.setattr(volint.lattice, "_NARROW_CELL", -1.0)
+            twelve = volint.lattice._cell_derivs(*args)
+            monkeypatch.undo()
+            scale = np.maximum(1.0, np.abs(twelve))
+            np.testing.assert_array_less(np.abs(six - twelve) / scale, 1e-12)
 
 
 def test_fit_mle_lattice_input_rules():
