@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
 import numpy as np
 
 from .errors import ConfigError
+
+# CPython's own SHA-256, as random.py takes its sha512: hashlib would map
+# OpenSSL's libcrypto, 3.6 MB resident, for one digest per fit
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 FIT_MODES = ("mle", "lsq")
 
@@ -159,5 +168,5 @@ def derive_seed(seed: int, label: str) -> int:
     Hash-based (SHA-256 of ``"seed:label"``), so it does not depend on
     platform, process, or evaluation order.
     """
-    digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
+    digest = sha256(f"{seed}:{label}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")

@@ -208,6 +208,7 @@ def build_volatility(
     raw = compute_volatility(ms, drop_overnight=cfg.drop_overnight)
     pattern = intraday_pattern(raw)
     flat = deseasonalize(raw, pattern)
+    del raw
     sd = float(np.std(flat.values))
     return normalize(flat), pattern, sd
 

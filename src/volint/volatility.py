@@ -22,7 +22,11 @@ _STAGES = ("raw", "deseasonalized")
 
 @dataclass(frozen=True, eq=False)
 class VolSeries:
-    """Volatility values with day index and minute-of-day slot labels."""
+    """Volatility values with day index and minute-of-day slot labels.
+
+    ``compute_volatility`` stores ``day`` and ``slot`` as int32; any integer
+    labels are accepted.
+    """
 
     values: np.ndarray
     day: np.ndarray
@@ -50,17 +54,21 @@ class IntradayPattern:
     counts: np.ndarray
 
     def value_at(self, slot: np.ndarray) -> np.ndarray:
-        """A(s) for each requested slot; NaN where the slot is unknown."""
-        pos = np.searchsorted(self.slots, slot)
-        pos = np.clip(pos, 0, len(self.slots) - 1)
-        hit = self.slots[pos] == slot
-        out = np.where(hit, self.values[pos], np.nan)
-        return out
+        """A(s) for each requested slot; NaN where the slot is unknown.
+
+        The result is a new array, which the caller may overwrite.
+        """
+        slot = np.asarray(slot)
+        pos = np.searchsorted(self.slots, slot.ravel())
+        np.minimum(pos, len(self.slots) - 1, out=pos)
+        out = self.values[pos]
+        out[self.slots[pos] != slot.ravel()] = np.nan
+        return out.reshape(slot.shape)
 
 
 @dataclass(frozen=True, eq=False)
 class NormVolSeries:
-    """Normalized volatility v with population standard deviation 1."""
+    """Normalized volatility v with population standard deviation 1, labeled as ``VolSeries``."""
 
     values: np.ndarray
     day: np.ndarray
@@ -89,36 +97,51 @@ def compute_volatility(ms: MinuteSeries, drop_overnight: bool = True) -> VolSeri
     session. With ``drop_overnight`` (the default) any return whose
     endpoints lie in different (day, session) blocks is dropped, which
     removes overnight and lunch-break returns.
+
+    Each full-length temporary is released once used: the log and the abs
+    are taken in place, and day and slot position come as int32 from one
+    ``divmod``.
     """
-    n_days, n_slots = ms.prices.shape
+    n_slots = ms.prices.shape[1]
     flat = ms.prices.ravel()
     idx = np.flatnonzero(np.isfinite(flat))
     if len(idx) < 2:
         raise EmptySeriesError("need at least two present prices to form a return")
-    logp = np.log(flat[idx])
-    r = np.abs(np.diff(logp))
+    logp = flat[idx]
+    np.log(logp, out=logp)
+    day = np.empty(len(idx), dtype=np.int32)
+    pos = np.empty(len(idx), dtype=np.int32)
+    np.divmod(idx, n_slots, out=(day, pos), casting="same_kind")
+    del idx
+    r = np.diff(logp)
+    del logp
+    np.abs(r, out=r)
 
-    day = idx // n_slots
-    slot_pos = idx % n_slots
-    block = day * (ms.session_id.max() + 1) + ms.session_id[slot_pos]
-    keep = block[1:] == block[:-1] if drop_overnight else np.ones(len(r), dtype=bool)
+    if drop_overnight:
+        # same (day, session) block
+        session = ms.session_id[pos]
+        keep = day[1:] == day[:-1]
+        keep &= session[1:] == session[:-1]
+        del session
+    else:
+        keep = np.ones(len(r), dtype=bool)
     if not keep.any():
         raise EmptySeriesError("no within-session returns remain")
-    return VolSeries(
-        values=r[keep],
-        day=day[1:][keep],
-        slot=ms.slots[slot_pos[1:][keep]],
-        stage="raw",
-    )
+    values = r[keep]
+    del r
+    day = day[1:][keep]
+    slot = ms.slots.astype(np.int32)[pos[1:][keep]]
+    return VolSeries(values=values, day=day, slot=slot, stage="raw")
 
 
 def intraday_pattern(vs: VolSeries) -> IntradayPattern:
     """Across-day mean volatility per minute-of-day slot."""
     if vs.stage != "raw":
         raise ValueError("intraday pattern is computed from raw volatility")
-    slots, inverse = np.unique(vs.slot, return_inverse=True)
-    counts = np.bincount(inverse, minlength=len(slots))
-    sums = np.bincount(inverse, weights=vs.values, minlength=len(slots))
+    # searchsorted positions hold 8 bytes a point, return_inverse about 30;
+    # a bare np.unique would import numpy.ma
+    slots, counts = np.unique(vs.slot, return_counts=True)
+    sums = np.bincount(np.searchsorted(slots, vs.slot), weights=vs.values, minlength=len(slots))
     return IntradayPattern(slots=slots, values=sums / counts, counts=counts)
 
 
@@ -126,7 +149,9 @@ def deseasonalize(vs: VolSeries, pattern: IntradayPattern) -> VolSeries:
     """Divide volatility by the intraday pattern, slot by slot.
 
     A slot where the pattern is zero (or unknown) is only acceptable when
-    the volatility there is zero too; the ratio is then taken as 0.
+    the volatility there is zero too; the ratio is then taken as 0. The
+    looked-up A(s) array becomes the output: A is set to inf where it is
+    bad, and R / inf is 0.
     """
     if vs.stage != "raw":
         raise ValueError("deseasonalize expects raw volatility")
@@ -137,10 +162,8 @@ def deseasonalize(vs: VolSeries, pattern: IntradayPattern) -> VolSeries:
         raise DegeneratePatternError(
             f"pattern is zero or unknown at slots {culprits.tolist()} with nonzero volatility"
         )
-    out = np.zeros_like(vs.values)
-    ok = ~bad
-    out[ok] = vs.values[ok] / a[ok]
-    return VolSeries(values=out, day=vs.day, slot=vs.slot, stage="deseasonalized")
+    a[bad] = np.inf
+    return VolSeries(values=np.divide(vs.values, a, out=a), day=vs.day, slot=vs.slot, stage="deseasonalized")
 
 
 def normalize(vs: VolSeries) -> NormVolSeries:

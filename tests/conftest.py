@@ -1,6 +1,7 @@
 """Shared fixtures for the volint test suite."""
 
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,21 @@ def blas_envs():
     default = {k: v for k, v in os.environ.items() if k not in names}
     default["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")]))
     return [{**default, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, default]
+
+
+@pytest.fixture(scope="session")
+def peak_mib():
+    """``peak_mib(fn, *args, **kwargs)``: the tracemalloc peak of one call, in MiB."""
+
+    def peak(fn, *args, **kwargs) -> float:
+        tracemalloc.start()
+        try:
+            fn(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    return peak
 
 
 @pytest.fixture(scope="session")

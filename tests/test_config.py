@@ -1,6 +1,7 @@
 """Configuration validation and seed derivation."""
 
 import ast
+import hashlib
 from dataclasses import fields
 from pathlib import Path
 
@@ -102,6 +103,13 @@ def test_derive_seed_is_frozen():
     assert derive_seed(0, "fit:q=2") == 1298622785933169840
     assert derive_seed(7, "fit:q=2") == 1756789143346525074
     assert derive_seed(0, "fit:q=3") == 3285696807774659543
+
+
+def test_derive_seed_matches_hashlib():
+    labels = [f"fit:q={q / 10:g}" for q in range(100)] + [f"boot:{i}:\u00e9" for i in range(100)]
+    for i, label in enumerate(labels):
+        digest = hashlib.sha256(f"{i}:{label}".encode("utf-8")).digest()
+        assert derive_seed(i, label) == int.from_bytes(digest[:8], "little")
 
 
 def test_derive_seed_separates_labels():

@@ -116,3 +116,16 @@ def test_analyze_loads_no_numpy_ma(tmp_path, corpus_cfg):
     cfg.write_text(json.dumps(corpus_cfg(tmp_path / "out")))
     run = f"main(['analyze', '--config', {str(cfg)!r}])"
     assert _python(f"import sys; from volint.cli import main; print({run}, 'numpy.ma' in sys.modules)")[-1] == "0 False"
+
+
+def test_cli_and_analyze_load_no_openssl(tmp_path, corpus_cfg):
+    # derive_seed hashes with CPython's own SHA-256: hashlib would map
+    # OpenSSL's libcrypto (_hashlib), 3.6 MB resident, for one digest per fit
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(corpus_cfg(tmp_path / "out")))
+    run = f"main(['analyze', '--config', {str(cfg)!r}])"
+    lines = _python(
+        "import sys; from volint.cli import main; print('_hashlib' in sys.modules); "
+        f"print({run}, '_hashlib' in sys.modules)"
+    )
+    assert (lines[0], lines[-1]) == ("False", "0 False")

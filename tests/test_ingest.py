@@ -3,7 +3,6 @@
 import csv
 import io
 import math
-import tracemalloc
 from calendar import timegm
 from datetime import date, datetime, timezone
 
@@ -17,6 +16,7 @@ from volint import (
     FormatError,
     MinuteSeries,
     ParsedTicks,
+    RunConfig,
     SynthSpec,
     TickRecord,
     Ticks,
@@ -32,7 +32,7 @@ from volint import (
     write_minute_csv,
 )
 from volint.ingest import _CHUNK_CHARS
-from volint.pipeline import _write_volatility_csv
+from volint.pipeline import _write_volatility_csv, build_volatility
 
 DAY = date(2004, 1, 5)
 
@@ -552,24 +552,15 @@ def corpus_140k(tmp_path_factory):
     return path, ms
 
 
-def _peak_mib(fn, *args) -> float:
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-
-
-def test_parse_memory_is_column_sized(corpus_140k):
+def test_parse_memory_is_column_sized(corpus_140k, peak_mib):
     # two float64 columns of 141k rows take 2.2 MiB; a TickRecord per row took 19 MiB
     path, _ = corpus_140k
-    assert _peak_mib(parse_ticks, path) < 8
+    assert peak_mib(parse_ticks, path) < 8
 
 
-def test_minute_writer_streams_by_day(corpus_140k, tmp_path):
+def test_minute_writer_streams_by_day(corpus_140k, tmp_path, peak_mib):
     _, ms = corpus_140k
-    assert _peak_mib(write_minute_csv, ms, tmp_path / "minutes.csv") < 4
+    assert peak_mib(write_minute_csv, ms, tmp_path / "minutes.csv") < 4
 
 
 @pytest.mark.parametrize("text", _LONG_BODIES[:6], ids=["lf", "crlf", "late", "mixed", "lone-cr", "quoted"])
@@ -584,16 +575,23 @@ def test_parse_file_matches_reference(tmp_path, text):
     assert list(got.records) == expected.records
 
 
-def test_alignment_memory_is_block_sized(corpus_140k):
+def test_alignment_memory_is_block_sized(corpus_140k, peak_mib):
     # aligning all 140k marks at once held ten full-length temporaries, 12 MiB
     path, _ = corpus_140k
     ticks = parse_ticks(path).records
-    assert _peak_mib(sample_minutely, ticks, TradingCalendar.for_days(tick_days(ticks))) < 6
+    assert peak_mib(sample_minutely, ticks, TradingCalendar.for_days(tick_days(ticks))) < 6
 
 
-def test_volatility_writer_streams_by_day(corpus_140k, tmp_path):
+def test_volatility_memory_is_series_sized(corpus_140k, peak_mib):
+    # the series (float64 values, int32 labels) takes 2.1 MiB; int64 labels,
+    # full-length temporaries and np.unique's inverse took the peak to 10.9 MiB
+    _, ms = corpus_140k
+    assert peak_mib(build_volatility, ms, RunConfig()) < 6
+
+
+def test_volatility_writer_streams_by_day(corpus_140k, tmp_path, peak_mib):
     _, ms = corpus_140k
     raw = compute_volatility(ms)
     v = normalize(deseasonalize(raw, intraday_pattern(raw)))
     days = [d.isoformat() for d in ms.days]
-    assert _peak_mib(_write_volatility_csv, days, v, tmp_path / "volatility.csv") < 4
+    assert peak_mib(_write_volatility_csv, days, v, tmp_path / "volatility.csv") < 4

@@ -4,7 +4,6 @@ import math
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -376,18 +375,12 @@ def test_bootstrap_every_refit_failing_raises(monkeypatch):
         bootstrap_pvalue(x, SEModel.normalized(5.79, 0.43), n_boot=10, seed=9, refit=True)
 
 
-def test_bootstrap_holds_one_replicate_at_a_time():
+def test_bootstrap_holds_one_replicate_at_a_time(peak_mib):
     # the fixed-model p draws no replicate; 400 replicates of 5,000 draws
     # would take 15 MiB as one block
     model = SEModel.normalized(5.79, 0.43)
     x = model.sample(5000, seed=0)
-    tracemalloc.start()
-    try:
-        bootstrap_pvalue(x, model, n_boot=400, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak_mib(bootstrap_pvalue, x, model, n_boot=400, seed=0) < 4
 
 
 @pytest.mark.parametrize(
@@ -516,16 +509,10 @@ def test_kolmogorov_sf_same_bits_at_any_blas_thread_count(blas_envs):
     assert outputs[0] == outputs[1]
 
 
-def test_refit_bootstrap_holds_one_replicate_at_a_time():
+def test_refit_bootstrap_holds_one_replicate_at_a_time(peak_mib):
     model = SEModel.normalized(5.79, 0.43)
     x = model.sample(5000, seed=0)
-    tracemalloc.start()
-    try:
-        bootstrap_pvalue(x, model, n_boot=40, seed=0, refit=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak_mib(bootstrap_pvalue, x, model, n_boot=40, seed=0, refit=True) < 4
 
 
 @given(
@@ -669,17 +656,11 @@ def test_lattice_refit_p_is_calibrated_on_the_iid_null():
         assert 0.01 <= count / n_seeds <= 0.10, (q, count)
 
 
-def test_lattice_refit_bootstrap_memory_is_bounded():
+def test_lattice_refit_bootstrap_memory_is_bounded(peak_mib):
     view = _lattice_samples()[1]
     assert 350 <= view.sample.counts[0][-1] <= 500
     model = fit_mle(view)
-    tracemalloc.start()
-    try:
-        bootstrap_pvalue(view, model, n_boot=1000, seed=0, refit=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak_mib(bootstrap_pvalue, view, model, n_boot=1000, seed=0, refit=True) < 4
 
 
 def test_lattice_refit_p_does_not_depend_on_the_block_size(monkeypatch):

@@ -12,7 +12,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from volint import ConfigError, StageError, derive_seed, run_analyze, validate_config
+from volint import (
+    ConfigError,
+    NormVolSeries,
+    StageError,
+    derive_seed,
+    extract_intervals,
+    gen_iid_volatility,
+    run_analyze,
+    validate_config,
+)
 from volint.cli import main
 from volint.ingest import write_minute_csv
 from volint.intervals import IntervalSample
@@ -182,6 +191,21 @@ def test_volatility_csv_bytes_match_write_rows(tmp_path):
     expected = io.StringIO()
     write_rows(expected, ["day", "slot", "v"], rows)
     assert (tmp_path / "volatility.csv").read_bytes() == expected.getvalue().encode()
+
+
+def test_int32_labels_give_the_same_intervals_and_csv(tmp_path):
+    # compute_volatility stores day and slot as int32; int64 labels must read the same
+    wide = gen_iid_volatility(5000, seed=4)
+    assert wide.day.dtype == wide.slot.dtype == np.int64
+    narrow = NormVolSeries(values=wide.values, day=wide.day.astype(np.int32), slot=wide.slot.astype(np.int32))
+    for q in (1.5, 3.0):
+        a, b = (extract_intervals(v, q, cross_day=False) for v in (wide, narrow))
+        assert a.tau.dtype == b.tau.dtype and np.array_equal(a.tau, b.tau)
+        assert a.source_length == b.source_length
+    days = [f"day{d}" for d in range(int(wide.day[-1]) + 1)]
+    _write_volatility_csv(days, wide, tmp_path / "wide.csv")
+    _write_volatility_csv(days, narrow, tmp_path / "narrow.csv")
+    assert (tmp_path / "wide.csv").read_bytes() == (tmp_path / "narrow.csv").read_bytes()
 
 
 def test_intervals_csv_bytes_match_write_rows(tmp_path):

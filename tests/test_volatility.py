@@ -49,6 +49,13 @@ def test_hand_log_returns():
     assert vol.stage == "raw"
 
 
+def test_labels_are_int32():
+    vol = compute_volatility(_series([[100.0, 101.0, 100.5], [100.2, np.nan, 100.4]]))
+    assert vol.day.dtype == vol.slot.dtype == np.int32
+    assert list(vol.day) == [0, 0, 1]
+    assert list(vol.slot) == [572, 573, 573]
+
+
 def test_gap_bridges_to_next_present_minute():
     series = _series([[100.0, np.nan, 102.0]])
     vol = compute_volatility(series)
@@ -97,6 +104,8 @@ def test_pattern_means_and_counts():
     assert list(pattern.counts) == [2, 2]
     assert pattern.value_at(572) == 1.5
     assert np.isnan(pattern.value_at(999))
+    got = pattern.value_at(np.array([[573, 570], [572, 574]]))
+    np.testing.assert_array_equal(got, [[4.0, np.nan], [1.5, np.nan]])
 
 
 def test_pattern_requires_raw_stage():
