@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-boot", type=int, help="bootstrap replicates, drawn only with --refit")
     p.add_argument("--seed", type=int)
     refit = "bootstrap p with each replicate refitted: interval counts scored at the knots"
-    _switch(p, "--refit", "refit", refit + " (continuous draws with --no-lattice)")
+    _switch(p, "--refit", "refit", refit + " (mle fit only; not with --no-lattice)")
     _add_lattice_arg(p)
     p.add_argument("--bins-per-decade", type=int)
     p.add_argument("--out-dir", "-o", default="out")

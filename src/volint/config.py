@@ -156,6 +156,16 @@ def validate_config(raw: Mapping[str, Any] | None) -> RunConfig:
         if key in values and not isinstance(values[key], bool):
             problems.append(f"{key} must be true or false")
             values.pop(key)
+    # the refit bootstrap draws interval counts and refits each by the
+    # censored MLE, so its p is calibrated only for that fit of that data
+    if values.get("refit"):
+        if not values.get("lattice", RunConfig.lattice):
+            problems.append("refit: true needs lattice: true; the refit bootstrap draws interval counts")
+        if values.get("fit_mode") == "lsq":
+            problems.append(
+                'refit: true needs fit_mode: "mle"; every replicate is refitted by the censored MLE, '
+                "so an lsq fit's p is not calibrated (ROADMAP item 3 would lift this)"
+            )
 
     if problems:
         raise ConfigError(problems)

@@ -1,7 +1,7 @@
 """Kolmogorov-Smirnov machinery: the two-sample scaling test across
 thresholds, the one-sample distance to a fitted model, and its p-value,
-from the exact Kolmogorov law or a parametric refit bootstrap. On lattice
-input the refit bootstrap draws interval counts from the fitted censored
+from the exact Kolmogorov law or, on interval data, a parametric refit
+bootstrap. That bootstrap draws interval counts from the fitted censored
 model, refits them all in lockstep (``lattice.LatticeRefit``) and scores
 data and replicates alike by the discrete KS distance at the knots.
 
@@ -33,7 +33,7 @@ from .errors import FitFailureError, NoOverlapError
 from .ingest import sorted_unique
 from .intervals import CdfTable, DequantizedCdf, IntervalSample, empirical_cdf
 from .lattice import LatticeRefit
-from .semodel import FitReport, SEModel, _cdf_rows, fit_mle, se_cdf, se_sample
+from .semodel import FitReport, SEModel, _cdf_rows, se_cdf
 
 _PI2 = math.pi**2
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -179,48 +179,11 @@ def _sorted_cdf_ks(f: np.ndarray, steps: tuple[np.ndarray, np.ndarray] | None = 
     Checked at both sides of each step of the empirical CDF, where the sup
     of a continuous F against a step function is attained. As i/n - f >=
     (i-1)/n - f, the larger of the two gaps' absolute values is the larger of
-    i/n - f and f - (i-1)/n. ``steps`` is ``_ks_steps(len(f))``, built once
-    by callers that score many samples of one size.
+    i/n - f and f - (i-1)/n. ``steps`` holds F_n at and just below each
+    point, ``_ks_steps(len(f))`` unless given.
     """
     upper, lower = steps or _ks_steps(len(f))
     return float(np.maximum((upper - f).max(), (f - lower).max()))
-
-
-# F evaluated on a subset of the points can differ from its values on the
-# whole sorted sample in the last few ulps; a gap this close to d is decided
-# on the whole sample
-_KS_TIE = 1e-12
-
-
-def _ks_exceeds(x_sorted: np.ndarray, model: SEModel, d: float, steps: tuple[np.ndarray, np.ndarray]) -> bool:
-    """Whether ``one_sample_ks(x_sorted, model) > d``, with F evaluated only where needed.
-
-    F is evaluated at block ends e_j every w = max(1, floor(d n / 4)) points
-    and at the last point; a gap above d there decides at once. F is
-    monotone, so no point of the block [e_j, e_j+1] has a gap above
-    max(upper[e_j+1] - F(e_j), F(e_j+1) - lower[e_j]), which exceeds the
-    larger gap at its two ends by at most w / n <= d / 4. Only the blocks
-    whose bound exceeds d are scored in full, all in one batch. ``steps`` is
-    ``_ks_steps(len(x_sorted))``; a distance never exceeds 1, so neither
-    does the d that sets w.
-    """
-    upper, lower = steps
-    n = len(x_sorted)
-    w = max(1, int(min(d, 1.0) * n / 4))
-    ends = np.append(np.arange(0, n - 1, w), n - 1)
-    f = se_cdf(model, x_sorted[ends])
-    stat = _sorted_cdf_ks(f, (upper[ends], lower[ends]))
-    if stat > d + _KS_TIE:
-        return True
-    bound = np.maximum(upper[ends[1:]] - f[:-1], f[1:] - lower[ends[:-1]])
-    start = ends[:-1][bound > d - _KS_TIE] + 1
-    inner = (start[:, None] + np.arange(w - 1)).ravel()
-    inner = inner[inner < n - 1]
-    if len(inner):
-        stat = max(stat, _sorted_cdf_ks(se_cdf(model, x_sorted[inner]), (upper[inner], lower[inner])))
-    if abs(stat - d) <= _KS_TIE:
-        return one_sample_ks(x_sorted, model) > d
-    return stat > d
 
 
 def one_sample_ks(sample, model: SEModel) -> float:
@@ -437,21 +400,6 @@ def _lattice_replicates(sample: IntervalSample, model: SEModel, n_boot: int, see
     return ks, n_exceed, n_failed
 
 
-def _continuous_replicates(model: SEModel, n: int, ks: float, n_boot: int, seed) -> tuple[int, int]:
-    """(replicates beyond ``ks``, failed refits) of the bootstrap on continuous values; see ``bootstrap_pvalue``."""
-    steps = _ks_steps(n)
-    n_exceed = n_failed = 0
-    for child in np.random.SeedSequence(seed).spawn(n_boot):
-        draw = se_sample(model, n, np.random.default_rng(child))
-        try:
-            fitted = fit_mle(draw)
-        except (FitFailureError, ValueError):
-            n_failed += 1
-            continue
-        n_exceed += _ks_exceeds(np.sort(draw), fitted, ks, steps)
-    return n_exceed, n_failed
-
-
 def bootstrap_pvalue(
     sample,
     model: SEModel,
@@ -474,48 +422,37 @@ def bootstrap_pvalue(
 
     With ``refit=True`` it is a parametric bootstrap of ``n_boot``
     replicates, each refitted and compared against its own fit, and
-    p = #(KS_sim > ks) / #completed (Clauset, Shalizi & Newman 2009).
-    Replicates whose refit fails are dropped and counted.
-
-    - Lattice input, the view ``IntervalSample.scaled()`` returns: ``ks`` is
-      the knot distance max_k |C_k / n - F(k h)| (``_knot_grid``), h =
-      1 / <tau>. A replicate is n interval counts
-      drawn by one multinomial over the cells ((k-1) h, k h], k = 1 ... K,
-      and the open tail (K h, inf), with the model's censored cell masses.
-      ``LatticeRefit`` refits every replicate by the censored likelihood,
-      all in lockstep from the model's (a, gamma), and each is scored by
-      the knot distance to its own fit. The replicates come from one
-      ``numpy.random.default_rng(seed)``, ``_BOOT_ROWS`` at a time, which
-      draws the same counts as one call for all of them; a refit's bits do
-      not depend on the others in its block, so neither does p. A refit
-      fails where a replicate occupies one cell or its optimum is not
-      finite.
-    - Any other input is scored as continuous values: each replicate is
-      drawn from the model with its own RNG, spawned from
-      ``numpy.random.SeedSequence(seed)``, refitted by ``fit_mle``, and
-      only whether its distance exceeds ``ks`` is decided, from its fit's
-      CDF at every (ks n / 4)-th sorted point and in full only in the
-      blocks where a bound from those points cannot decide
-      (``_ks_exceeds``). One replicate is held in memory at a time.
+    p = #(KS_sim > ks) / #completed (Clauset, Shalizi & Newman 2009). It
+    takes only lattice input, the view ``IntervalSample.scaled()`` returns,
+    and raises ``ValueError`` on anything else. ``ks`` is the knot distance
+    max_k |C_k / n - F(k h)| (``_knot_grid``), h = 1 / <tau>. A replicate is
+    n interval counts drawn by one multinomial over the cells
+    ((k-1) h, k h], k = 1 ... K, and the open tail (K h, inf), with the
+    model's censored cell masses. ``LatticeRefit`` refits every replicate by
+    the censored likelihood, all in lockstep from the model's (a, gamma),
+    and each is scored by the knot distance to its own fit. The replicates
+    come from one ``numpy.random.default_rng(seed)``, ``_BOOT_ROWS`` at a
+    time, which draws the same counts as one call for all of them; a refit's
+    bits do not depend on the others in its block, so neither does p.
+    Replicates whose refit fails are dropped and counted: a refit fails
+    where a replicate occupies one cell or its optimum is not finite.
     """
     if n_boot < 1:
         raise ValueError("n_boot must be >= 1")
-    n = len(sample)
     lattice = getattr(sample, "sample", None)
+    if refit and lattice is None:
+        raise ValueError("refit=True takes interval data as the lattice view IntervalSample.scaled()")
+    n = len(sample)
     observed = sample if lattice is None else lattice
     n_failed = 0
-    if not refit:
-        ks_obs = one_sample_ks(observed, model)
-        p = kolmogorov_sf(ks_obs, n)
-    else:
-        if lattice is not None:
-            ks_obs, n_exceed, n_failed = _lattice_replicates(lattice, model, n_boot, seed)
-        else:
-            ks_obs = one_sample_ks(observed, model)
-            n_exceed, n_failed = _continuous_replicates(model, n, ks_obs, n_boot, seed)
+    if refit:
+        ks_obs, n_exceed, n_failed = _lattice_replicates(lattice, model, n_boot, seed)
         if n_failed == n_boot:
             raise FitFailureError("every bootstrap replicate failed to refit")
         p = n_exceed / (n_boot - n_failed)
+    else:
+        ks_obs = one_sample_ks(observed, model)
+        p = kolmogorov_sf(ks_obs, n)
     return FitReport(
         model=model,
         mode=mode,
@@ -527,3 +464,13 @@ def bootstrap_pvalue(
         q=observed.q if isinstance(observed, IntervalSample) else None,
         n_failed_refits=n_failed,
     )
+
+
+def __getattr__(name: str):
+    """``semodel.fit_mle`` and ``semodel.se_sample`` under this module's name,
+    where perfbench/trace.py still wraps them; nothing here calls them."""
+    if name in ("fit_mle", "se_sample"):
+        from . import semodel
+
+        return getattr(semodel, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

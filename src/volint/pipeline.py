@@ -223,11 +223,12 @@ def load_normalized(cfg: RunConfig) -> tuple[NormVolSeries, IntradayPattern, flo
 def fit_threshold(cfg: RunConfig, sample: IntervalSample) -> FitReport:
     """Fit one threshold's scaled intervals and take its KS p-value.
 
-    ``bootstrap_pvalue`` gives p from the exact Kolmogorov law, or from a
-    bootstrap of ``cfg.n_boot`` refitted replicates when ``cfg.refit`` is
-    set; the replicates' seed is derived from the run seed and q. With
-    ``cfg.lattice`` it gets the lattice view ``sample.scaled()``, so a refit
-    bootstrap draws and refits interval counts.
+    ``bootstrap_pvalue`` gets the lattice view ``sample.scaled()`` and gives
+    p from the exact Kolmogorov law, or, when ``cfg.refit`` is set, from a
+    bootstrap of ``cfg.n_boot`` interval-count replicates, each refitted by
+    the censored likelihood; the replicates' seed is derived from the run
+    seed and q. ``validate_config`` admits ``refit`` only with ``lattice``
+    and the ``mle`` fit mode, the fit the replicates get.
     """
     scaled = sample.scaled()
     if cfg.fit_mode == "lsq":
@@ -235,11 +236,7 @@ def fit_threshold(cfg: RunConfig, sample: IntervalSample) -> FitReport:
     else:
         model = fit_mle(scaled if cfg.lattice else np.asarray(scaled))
     seed = derive_seed(cfg.seed, f"fit:q={sample.q:g}")
-    return bootstrap_pvalue(
-        scaled if cfg.lattice else sample, model, n_boot=cfg.n_boot, seed=seed, refit=cfg.refit, mode=cfg.fit_mode
-    )
-
-
+    return bootstrap_pvalue(scaled, model, n_boot=cfg.n_boot, seed=seed, refit=cfg.refit, mode=cfg.fit_mode)
 
 
 def stage_ingest(cfg: RunConfig, ctx: dict) -> dict[str, Artifact]:

@@ -527,11 +527,11 @@ class FitReport:
 
     ``p`` is the p-value of ``ks`` (None when none was computed). ``ks`` is
     the one-sample KS distance of the data to the model, or, from the refit
-    bootstrap of lattice input, the discrete KS distance at the knots
-    max_k |C_k / n - F(k / <tau>)|. ``n_boot`` is the configured replicate
-    count, which only a refit bootstrap draws, and ``n_failed_refits``
-    counts bootstrap replicates dropped because their refit failed (only
-    possible with refit=True).
+    bootstrap, which takes only interval data, the discrete KS distance at
+    the knots max_k |C_k / n - F(k / <tau>)|. ``n_boot`` is the configured
+    replicate count, which only a refit bootstrap draws, and
+    ``n_failed_refits`` counts bootstrap replicates dropped because their
+    refit failed (only possible with refit=True).
     """
 
     model: SEModel

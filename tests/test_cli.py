@@ -230,6 +230,25 @@ def test_no_lattice_switch(synth_csv, tmp_path, corpus_cfg, capsys):
     capsys.readouterr()
 
 
+def test_analyze_no_lattice_refit_exits_2_without_summary(tmp_path, corpus_cfg, capsys):
+    cfg = corpus_cfg(tmp_path / "o", refit=True)
+    cfg["input"] = str(tmp_path / "never-read.csv")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["analyze", "--config", str(cfg_path), "--no-lattice"]) == 2
+    err = capsys.readouterr().err
+    assert "refit" in err and "lattice" in err
+    assert not (tmp_path / "o" / "summary.json").exists()
+
+
+def test_fit_lsq_refit_exits_2(tmp_path, capsys):
+    args = ["fit", "--input", str(tmp_path / "never-read.csv"), "--mode", "lsq", "--refit", "-o", str(tmp_path / "o")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "refit" in err and "fit_mode" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_analyze_unparseable_config_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text("{nope")

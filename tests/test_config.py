@@ -98,6 +98,25 @@ def test_lattice_flag():
     assert "lattice" in str(err.value)
 
 
+def test_refit_needs_lattice():
+    with pytest.raises(ConfigError) as err:
+        validate_config({"refit": True, "lattice": False})
+    assert len(err.value.problems) == 1
+    assert "refit" in str(err.value) and "lattice" in str(err.value)
+    assert validate_config({"refit": True}).refit
+    assert validate_config({"refit": False, "lattice": False}).lattice is False
+
+
+def test_refit_needs_the_mle_fit():
+    with pytest.raises(ConfigError) as err:
+        validate_config({"refit": True, "fit_mode": "lsq"})
+    assert len(err.value.problems) == 1
+    text = str(err.value)
+    assert "refit" in text and "fit_mode" in text and "ROADMAP item 3" in text
+    assert validate_config({"refit": False, "fit_mode": "lsq"}).fit_mode == "lsq"
+    assert validate_config({"refit": True, "fit_mode": "mle"}).refit
+
+
 def test_derive_seed_is_frozen():
     # pinned: the derivation must never drift across platforms or releases
     assert derive_seed(0, "fit:q=2") == 1298622785933169840

@@ -286,16 +286,6 @@ def test_bootstrap_rejects_wrong_model():
     assert report.p == 0.0
 
 
-def test_bootstrap_refit_path():
-    model = SEModel.normalized(5.79, 0.43)
-    x = model.sample(300, seed=3)
-    report = bootstrap_pvalue(x, model, n_boot=50, seed=7, refit=True)
-    assert report.n_failed_refits == 0
-    assert 0.0 <= report.p <= 1.0
-    again = bootstrap_pvalue(x, model, n_boot=50, seed=7, refit=True)
-    assert report.p == again.p
-
-
 def test_bootstrap_records_interval_threshold():
     rng = np.random.default_rng(6)
     v = np.abs(rng.standard_normal(20_000))
@@ -318,11 +308,10 @@ def test_bootstrap_null_calibration_smoke():
     assert np.mean(np.array(ps) < 0.05) <= 0.2
 
 
-# A refit replicate's draws depend only on its own spawned seed, so p and ks
-# stay exact. The refit=False p is the Kolmogorov law's (kstwo.sf gives
-# 0.3964195665150202); it was 0.46 from 200 replicates. Both ks values were
-# re-pinned in their last digits when se_cdf stopped calling scipy.
-@pytest.mark.parametrize("refit, p", [(False, 0.3964195665150203), (True, 0.075)])
+# The refit=False p is the Kolmogorov law's (kstwo.sf gives
+# 0.3964195665150202); it was 0.46 from 200 replicates. ks was re-pinned in
+# its last digits when se_cdf stopped calling scipy.
+@pytest.mark.parametrize("refit, p", [(False, 0.3964195665150203)])
 def test_bootstrap_pinned_plain_array(refit, p):
     model = SEModel.normalized(5.79, 0.43)
     x = model.sample(2000, seed=12)
@@ -332,6 +321,18 @@ def test_bootstrap_pinned_plain_array(refit, p):
     assert report.n_failed_refits == 0
 
 
+def test_refit_takes_only_the_lattice_view():
+    model = SEModel.normalized(1.0, 1.0)
+    tau = np.ceil(model.sample(500, seed=4) * 10).astype(np.int64)
+    sample = IntervalSample(q=2.0, tau=tau, source_length=int(tau.sum()))
+    view = sample.scaled()
+    # plain values, the sample itself, and copies of the view that lost its tag
+    for data in (model.sample(500, seed=4), sample, np.asarray(view), view[1:], np.sort(view)):
+        with pytest.raises(ValueError, match=r"IntervalSample\.scaled\(\)"):
+            bootstrap_pvalue(data, model, n_boot=100, seed=0, refit=True)
+    assert bootstrap_pvalue(view, model, n_boot=100, seed=0, refit=True).n_boot == 100
+
+
 def test_bootstrap_pinned_lattice_sample():
     model = SEModel.normalized(1.0, 1.0)
     tau = np.ceil(model.sample(2000, seed=10) * 1000).astype(np.int64)
@@ -339,40 +340,6 @@ def test_bootstrap_pinned_lattice_sample():
     report = bootstrap_pvalue(sample, model, n_boot=200, seed=10)
     assert report.p == 0.636146000332821  # kstwo.sf; 0.635 from 200 replicates
     assert report.ks == 0.016568816221495142
-
-
-def test_bootstrap_counts_failed_refits(monkeypatch):
-    x = SEModel.normalized(5.79, 0.43).sample(300, seed=6)
-    model = fit_mle(x)
-    n_boot = 40
-    calls = []
-
-    def every_other_fails(draw):
-        calls.append(draw)
-        if len(calls) % 2 == 0:
-            raise FitFailureError("planted failure")
-        return fit_mle(draw)
-
-    monkeypatch.setattr(volint.kstest, "fit_mle", every_other_fails)
-    report = bootstrap_pvalue(x, model, n_boot=n_boot, seed=9, refit=True)
-    assert len(calls) == n_boot
-    assert report.n_failed_refits == n_boot // 2
-    kept = calls[::2]
-    ks_obs = one_sample_ks(x, model)
-    exceed = sum(one_sample_ks(d, fit_mle(d)) > ks_obs for d in kept)
-    assert report.p == exceed / len(kept)
-    assert 0.0 < report.p < 1.0
-    assert report.ks == ks_obs
-
-
-def test_bootstrap_every_refit_failing_raises(monkeypatch):
-    def always_fails(draw):
-        raise FitFailureError("planted failure")
-
-    monkeypatch.setattr(volint.kstest, "fit_mle", always_fails)
-    x = SEModel.normalized(5.79, 0.43).sample(300, seed=4)
-    with pytest.raises(FitFailureError, match="every bootstrap replicate failed to refit"):
-        bootstrap_pvalue(x, SEModel.normalized(5.79, 0.43), n_boot=10, seed=9, refit=True)
 
 
 def test_bootstrap_holds_one_replicate_at_a_time(peak_mib):
@@ -403,9 +370,9 @@ def test_fixed_model_p_follows_kolmogorov_law(truth, model, n, seed):
     assert abs(report.p - kstwo.sf(report.ks, n)) <= tol
 
 
-@pytest.mark.parametrize("refit", [False, True])
+@pytest.mark.parametrize("refit", [False])
 def test_fixed_model_replicates_call_no_model(monkeypatch, refit):
-    calls = {"se_cdf": 0, "se_sample": 0}
+    calls = {"se_cdf": 0}
 
     def counting(name):
         original = getattr(volint.kstest, name)
@@ -422,10 +389,7 @@ def test_fixed_model_replicates_call_no_model(monkeypatch, refit):
     x = model.sample(300, seed=5)
     n_boot = 200
     bootstrap_pvalue(x, model, n_boot=n_boot, seed=5, refit=refit)
-    if refit:
-        assert calls["se_sample"] == n_boot
-    else:
-        assert calls == {"se_cdf": 1, "se_sample": 0}
+    assert calls == {"se_cdf": 1}
 
 
 def test_fixed_model_p_draws_nothing(monkeypatch):
@@ -434,8 +398,6 @@ def test_fixed_model_p_draws_nothing(monkeypatch):
 
     model = SEModel.normalized(5.79, 0.43)
     x = SEModel.normalized(5.45, 0.43).sample(2000, seed=3)
-    for name in ("se_sample", "fit_mle"):
-        monkeypatch.setattr(volint.kstest, name, forbidden)
     monkeypatch.setattr(np.random, "SeedSequence", forbidden)
     monkeypatch.setattr(np.random, "default_rng", forbidden)
     report = bootstrap_pvalue(x, model, n_boot=500, seed=5)
@@ -507,59 +469,6 @@ def test_kolmogorov_sf_same_bits_at_any_blas_thread_count(blas_envs):
         for env in blas_envs
     ]
     assert outputs[0] == outputs[1]
-
-
-def test_refit_bootstrap_holds_one_replicate_at_a_time(peak_mib):
-    model = SEModel.normalized(5.79, 0.43)
-    x = model.sample(5000, seed=0)
-    assert peak_mib(bootstrap_pvalue, x, model, n_boot=40, seed=0, refit=True) < 4
-
-
-@given(
-    a=st.floats(0.1, 30.0),
-    gamma=st.floats(0.1, 2.0),
-    shift=st.floats(0.8, 1.25),
-    n=st.integers(1, 5000),
-    seed=st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=60, deadline=None)
-def test_ks_exceeds_decides_like_full_statistic(a, gamma, shift, n, seed):
-    # the sample is drawn from a model near the scored one; d = 5 gives a
-    # block wider than the sample
-    model = SEModel.normalized(a, gamma)
-    x = SEModel.normalized(a * shift, min(gamma * shift, 2.0)).sample(n, seed=seed)
-    ks = one_sample_ks(x, model)
-    steps = volint.kstest._ks_steps(n)
-    for d in (ks, ks - 1e-9, ks + 1e-9, 0.0, 0.5 * ks, 2.0 * ks, 1.0, 5.0):
-        assert volint.kstest._ks_exceeds(np.sort(x), model, d, steps) == (ks > d)
-
-
-def test_refit_replicates_score_few_cdf_points(monkeypatch):
-    # lognormal data misfit by the fitted stretched exponential, so every
-    # replicate's distance falls far below the observed one
-    points = []
-    se_cdf = volint.kstest.se_cdf
-
-    def counting(model, x):
-        points.append(np.size(x))
-        return se_cdf(model, x)
-
-    monkeypatch.setattr(volint.kstest, "se_cdf", counting)
-    n, n_boot = 2000, 100
-    x = np.random.default_rng(3).lognormal(0.0, 1.0, n)
-    report = bootstrap_pvalue(x, fit_mle(x), n_boot=n_boot, seed=0, refit=True)
-    assert report.p == 0.0
-    assert points[0] == n  # the observed distance
-    assert sum(points[1:]) < 0.05 * n_boot * n
-
-
-# p of null samples against their own fit, equal to scoring every
-# replicate's CDF at all n points with one_sample_ks
-@pytest.mark.parametrize("k, p", enumerate([0.34, 0.415, 0.485, 0.49, 0.09, 0.975]))
-def test_refit_null_pvalues_unchanged(k, p):
-    x = SEModel.normalized(14.2, 0.38).sample(3000, seed=100 + k)
-    assert bootstrap_pvalue(x, fit_mle(x), n_boot=200, seed=k, refit=True).p == p
-
 
 
 def _lattice_samples():
