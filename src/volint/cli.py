@@ -135,7 +135,6 @@ def _add_series_args(p: argparse.ArgumentParser, thresholds: bool = True) -> Non
     p.add_argument("--input", required=True, help="tick or minute CSV (timestamp,price)")
     p.add_argument("--calendar", help="calendar JSON (defaults to two standard sessions)")
     _switch(p, "--keep-overnight", "drop_overnight", "keep returns spanning session breaks")
-    _switch(p, "--same-day-only", "cross_day", "discard intervals crossing days")
     if thresholds:
         p.add_argument("--thresholds", type=_floats, help="comma-separated thresholds (default 2,3,4,5)")
 

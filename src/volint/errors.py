@@ -52,14 +52,11 @@ class StatError(VolintError):
 class InsufficientEventsError(StatError):
     """Fewer than two usable threshold exceedances, so no intervals exist."""
 
-    def __init__(self, n_exceedances: int, q: float | None = None, detail: str = ""):
+    def __init__(self, n_exceedances: int, q: float | None = None):
         self.n_exceedances = int(n_exceedances)
         self.q = q
         tag = f" at q={q:g}" if q is not None else ""
-        msg = f"{n_exceedances} exceedance(s){tag}; need at least 2"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(f"{n_exceedances} exceedance(s){tag}; need at least 2")
 
 
 class InsufficientPointsError(StatError):

@@ -91,31 +91,24 @@ class IntervalSample:
         return x
 
 
-def _series_values(v) -> tuple[np.ndarray, np.ndarray | None]:
+def _series_values(v) -> np.ndarray:
     if isinstance(v, NormVolSeries):
-        return v.values, v.day
-    return np.asarray(v, dtype=np.float64), None
+        return v.values
+    return np.asarray(v, dtype=np.float64)
 
 
-def extract_intervals(v, q: float, cross_day: bool = True) -> IntervalSample:
+def extract_intervals(v, q: float) -> IntervalSample:
     """Intervals between successive exceedances v > q.
 
-    ``v`` is a ``NormVolSeries`` or a plain array. With ``cross_day=False``
-    intervals whose endpoints fall on different days are discarded (plain
-    arrays carry no day labels and are treated as a single day).
+    ``v`` is a ``NormVolSeries`` or a plain array. A series holds the
+    in-session minutes with its days joined end to end, so an interval may
+    run across a lunch or overnight break.
     """
-    values, day = _series_values(v)
+    values = _series_values(v)
     pos = np.flatnonzero(values > q)
     if len(pos) < 2:
         raise InsufficientEventsError(len(pos), q)
     tau = np.diff(pos)
-    if not cross_day and day is not None:
-        same = day[pos[1:]] == day[pos[:-1]]
-        tau = tau[same]
-        if len(tau) == 0:
-            raise InsufficientEventsError(
-                len(pos), q, detail="all intervals span a day boundary"
-            )
     return IntervalSample(q=float(q), tau=tau.astype(np.int64), source_length=len(values))
 
 
@@ -279,31 +272,27 @@ class ThresholdResult(NamedTuple):
     mean_interval: float
 
 
-def threshold_for_mean(v, targets: Sequence[float], cross_day: bool = True) -> list[ThresholdResult]:
+def threshold_for_mean(v, targets: Sequence[float]) -> list[ThresholdResult]:
     """Per target, the threshold whose mean interval is nearest it, and that mean.
 
     The candidates are the distinct values and one value below the minimum
     that leave an interval. Candidate q keeps the points v > q, a prefix of
-    the descending sort. Day labels never decrease, so each day's kept
-    intervals sum to the span of its kept positions, and one sort gives
-    every candidate's exact mean. With ``cross_day=True``, or for a plain
-    array, all points are one day. Returns the nearest candidate, the lower
-    q on a tie. Raises ``UnreachableTargetError`` if every mean is below target - 1/2.
+    the descending sort, and its intervals sum to the span of the kept
+    positions, so one sort gives every candidate's exact mean. Returns the
+    nearest candidate, the lower q on a tie. Raises
+    ``UnreachableTargetError`` if every mean is below target - 1/2.
     """
     if any(t < 1.0 for t in targets):
         raise ValueError("target mean interval must be >= 1")
-    values, day = _series_values(v)
+    values = _series_values(v)
     n = len(values)
     pos = np.argsort(values)[::-1]
     ranked = values[pos]
     last = ranked != np.append(ranked[1:], np.nan)  # a candidate's prefix ends a run of equal values
     del ranked
-    if cross_day or day is None:
-        span = np.maximum.accumulate(pos).astype(np.float64)
-        span -= np.minimum.accumulate(pos)
-        count = np.arange(n)
-    else:
-        span, count = _same_day_totals(pos, day)
+    span = np.maximum.accumulate(pos).astype(np.float64)
+    span -= np.minimum.accumulate(pos)
+    count = np.arange(n)
     with np.errstate(invalid="ignore"):
         mean = np.divide(span, count, out=span)  # nan where no interval is left
     mean[~last] = np.nan
@@ -321,25 +310,3 @@ def threshold_for_mean(v, targets: Sequence[float], cross_day: bool = True) -> l
         out.append(ThresholdResult(float(q), float(mean[i])))
     return out
 
-
-def _same_day_totals(pos: np.ndarray, day: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum and count of the same-day intervals among the points pos[:j + 1], for every j."""
-    # group the points by day, in prefix order within a day, and offset each day
-    # by day * (n + 1), so that a running maximum restarts at every day
-    off = day[pos].astype(np.int64, copy=False)
-    by_day = np.argsort(off, kind="stable")
-    off.sort()
-    first = np.append(True, off[1:] != off[:-1])
-    off *= len(pos) + 1
-    p = pos[by_day]
-    span = off + p
-    np.maximum.accumulate(span, out=span)  # offset + the day's max so far
-    span += np.maximum.accumulate(np.subtract(off, p, out=off), out=off)  # offset - the day's min so far
-    del p, off
-    # each point adds its day's growth in span and, unless first on its day, one interval
-    span[1:] -= span[:-1]
-    span[first] = 0
-    total, count = np.empty_like(span), np.empty_like(span)
-    total[by_day], count[by_day] = span, ~first
-    del span, by_day
-    return np.cumsum(total, out=total).astype(np.float64), np.cumsum(count, out=count)

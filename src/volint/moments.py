@@ -148,7 +148,7 @@ class IntervalSweep:
         return _root_mean_pow(self.x, m, self.count, self.starts)
 
 
-def sweep_intervals(v, q_grid: Sequence[float], cross_day: bool = True) -> IntervalSweep:
+def sweep_intervals(v, q_grid: Sequence[float]) -> IntervalSweep:
     """Extract the intervals once per grid threshold and keep them as counts.
 
     Grid points with fewer than two exceedances are dropped and noted in
@@ -160,7 +160,7 @@ def sweep_intervals(v, q_grid: Sequence[float], cross_day: bool = True) -> Inter
     kept, dropped = [], []
     for q in sorted(float(q) for q in q_grid):
         try:
-            s = extract_intervals(v, q, cross_day=cross_day)
+            s = extract_intervals(v, q)
         except InsufficientEventsError as e:
             dropped.append((q, str(e)))
             continue
@@ -176,15 +176,14 @@ def sweep_intervals(v, q_grid: Sequence[float], cross_day: bool = True) -> Inter
     return IntervalSweep(*table, tuple(dropped))
 
 
-def moment_curve(v, m: float, q_grid: Sequence[float] | None = None, cross_day: bool = True) -> MomentCurve:
-    """(q, <tau>, mu_m) along the thresholds of ``sweep_intervals(v, q_grid, cross_day)``.
+def moment_curve(v, m: float, q_grid: Sequence[float] | None = None) -> MomentCurve:
+    """(q, <tau>, mu_m) along the thresholds of ``sweep_intervals(v, q_grid)``.
 
-    ``v`` may also be an ``IntervalSweep`` already made, which fixes the
-    grid and ``cross_day``.
+    ``v`` may also be an ``IntervalSweep`` already made, which fixes the grid.
     """
     if m <= 0:
         raise ValueError("moment orders must be positive")
-    sweep = v if isinstance(v, IntervalSweep) else sweep_intervals(v, q_grid, cross_day)
+    sweep = v if isinstance(v, IntervalSweep) else sweep_intervals(v, q_grid)
     return MomentCurve(m, sweep.q, sweep.mean_tau, sweep.mu(m), sweep.n_intervals, sweep.dropped)
 
 
@@ -240,7 +239,6 @@ def ess_xi(
     n: float,
     q_grid: Sequence[float] | None = None,
     region: tuple[float, float] = (10.0, 100.0),
-    cross_day: bool = True,
 ) -> EssReport:
     """Regress log<tau**m> on log<tau**n> across the swept thresholds in the region.
 
@@ -251,7 +249,7 @@ def ess_xi(
     """
     if m <= 0 or n <= 0:
         raise ValueError("moment orders must be positive")
-    sweep = v if isinstance(v, IntervalSweep) else sweep_intervals(v, q_grid, cross_day)
+    sweep = v if isinstance(v, IntervalSweep) else sweep_intervals(v, q_grid)
     mask = _region_mask(sweep.mean_tau, region)
     # the last order is 1, so the n = 1 regression doubles as the alpha one
     orders = (m, n) if n == 1.0 else (m, n, 1.0)
@@ -287,7 +285,6 @@ def moment_vs_order(
     v,
     mean_targets: Sequence[float] = (10.0, 30.0, 100.0),
     m_grid: Sequence[float] | None = None,
-    cross_day: bool = True,
     lattice: bool = True,
 ) -> list[OrderCurve]:
     """Empirical and fitted-model root-moments across orders m.
@@ -307,8 +304,8 @@ def moment_vs_order(
     if np.any(grid <= 0):
         raise ValueError("moment orders must be positive")
     out = []
-    for target, (q, achieved) in zip(mean_targets, threshold_for_mean(v, mean_targets, cross_day=cross_day)):
-        s = extract_intervals(v, q, cross_day=cross_day)
+    for target, (q, achieved) in zip(mean_targets, threshold_for_mean(v, mean_targets)):
+        s = extract_intervals(v, q)
         model = fit_mle(s.scaled() if lattice else np.asarray(s.scaled()))
         mu = np.array([empirical_moment(s, mm) for mm in grid])
         mu_model = np.array([analytic_moment(model, mm) for mm in grid])

@@ -261,7 +261,7 @@ def stage_volatility(cfg: RunConfig, ctx: dict) -> dict[str, Artifact]:
 
 
 def stage_intervals(cfg: RunConfig, ctx: dict) -> dict[str, Artifact]:
-    samples = [extract_intervals(ctx["series"], q, cross_day=cfg.cross_day) for q in cfg.thresholds]
+    samples = [extract_intervals(ctx["series"], q) for q in cfg.thresholds]
     ctx["samples"] = samples
     ctx["summary"]["thresholds"] = [
         {"q": s.q, "n_intervals": len(s), "mean_interval": s.mean_interval} for s in samples
@@ -299,7 +299,7 @@ def stage_fit(cfg: RunConfig, ctx: dict) -> dict[str, Artifact]:
 
 
 def stage_moments(cfg: RunConfig, ctx: dict) -> dict[str, Artifact]:
-    sweep = sweep_intervals(ctx["series"], cfg.q_grid, cross_day=cfg.cross_day)
+    sweep = sweep_intervals(ctx["series"], cfg.q_grid)
     curves = [moment_curve(sweep, m) for m in cfg.moment_orders]
     alphas = [fit_alpha(c, region=cfg.region) for c in curves]
     esses = [ess_xi(sweep, m, 1.0, region=cfg.region) for m in cfg.moment_orders]
@@ -329,7 +329,6 @@ def stage_order_curves(cfg: RunConfig, ctx: dict) -> dict[str, Artifact]:
         ctx["series"],
         cfg.mean_targets,
         cfg.order_grid,
-        cross_day=cfg.cross_day,
         lattice=cfg.lattice,
     )
     ctx["summary"]["order_curves"] = [

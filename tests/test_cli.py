@@ -201,10 +201,15 @@ def test_analyze_flag_overrides(tmp_path, corpus_cfg, capsys):
 
 
 def test_analyze_bad_config_exits_2(tmp_path, corpus_cfg, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(corpus_cfg(tmp_path / "o", n_boot=5)))
-    assert main(["analyze", "--config", str(cfg_path)]) == 2
-    assert "n_boot" in capsys.readouterr().err
+    # a config error exits 2 before the input is read
+    for bad, problem in (({"n_boot": 5}, "n_boot"), ({"cross_day": False}, "unknown key: cross_day")):
+        cfg = corpus_cfg(tmp_path / "o", **bad)
+        cfg["input"] = str(tmp_path / "never-read.csv")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["analyze", "--config", str(cfg_path)]) == 2
+        assert problem in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_analyze_non_boolean_lattice_exits_2(tmp_path, corpus_cfg, capsys):
@@ -428,10 +433,11 @@ def test_ks_matrix_output_matches_analyze(analyzed, corpus_cfg, tmp_path, capsys
     assert (out / "ks_matrix.csv").read_bytes() == expected
 
 
-def test_usage_error_exits_2():
-    with pytest.raises(SystemExit) as err:
-        main(["not-a-command"])
-    assert err.value.code == 2
+def test_usage_error_exits_2(tmp_path):
+    for args in (["not-a-command"], ["intervals", "--input", str(tmp_path / "never-read.csv"), "--same-day-only"]):
+        with pytest.raises(SystemExit) as err:
+            main(args)
+        assert err.value.code == 2
 
 
 def test_missing_required_flag_exits_2():

@@ -19,7 +19,7 @@ def test_empty_config_gives_defaults():
     assert cfg.thresholds == (2.0, 3.0, 4.0, 5.0)
     assert cfg.n_boot == 1000
     assert cfg.fit_mode == "mle"
-    assert cfg.drop_overnight and cfg.cross_day and cfg.overlap_counts
+    assert cfg.drop_overnight and cfg.overlap_counts
     assert not cfg.refit
 
 
@@ -43,6 +43,7 @@ def test_all_problems_reported_at_once():
         "fit_mode": "banana",
         "mystery": 1,
         "tol_mean": 0.5,
+        "cross_day": False,
     }
     with pytest.raises(ConfigError) as err:
         validate_config(bad)
@@ -53,7 +54,8 @@ def test_all_problems_reported_at_once():
     assert "fit_mode" in text
     assert "unknown key: mystery" in text
     assert "unknown key: tol_mean" in text
-    assert len(err.value.problems) == 6
+    assert "unknown key: cross_day" in text
+    assert len(err.value.problems) == 7
 
 
 def test_n_boot_floor():

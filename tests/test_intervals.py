@@ -47,36 +47,18 @@ def test_too_few_exceedances_reports_count():
     assert err.value.q == 10.0
 
 
-def test_cross_day_intervals_can_be_dropped():
+def test_intervals_span_day_boundaries():
     v = np.array([3.0, 0.1, 3.0, 0.1, 3.0])
-    day = np.array([0, 0, 1, 1, 1])
-
-    # direct array input has no day labels, so nothing is dropped
     assert list(extract_intervals(v, 2.0).tau) == [2, 2]
 
+    # the second interval starts on day 0 and ends on day 1; it is kept
     sd = np.std(v)
     series = NormVolSeries(
         values=v / sd,
-        day=day,
+        day=np.array([0, 0, 1, 1, 1]),
         slot=np.array([571, 572, 571, 572, 573]),
     )
-    q = 2.0 / sd
-    both = extract_intervals(series, q, cross_day=True)
-    assert list(both.tau) == [2, 2]
-    same_day = extract_intervals(series, q, cross_day=False)
-    assert list(same_day.tau) == [2]
-
-
-def test_cross_day_only_intervals_exhausted():
-    v = np.array([3.0, 0.1, 3.0])
-    sd = np.std(v)
-    series = NormVolSeries(
-        values=v / sd,
-        day=np.array([0, 0, 1]),
-        slot=np.array([571, 572, 571]),
-    )
-    with pytest.raises(InsufficientEventsError):
-        extract_intervals(series, 2.0 / sd, cross_day=False)
+    assert list(extract_intervals(series, 2.0 / sd).tau) == [2, 2]
 
 
 @given(
@@ -240,13 +222,13 @@ def test_threshold_for_mean_unreachable(iid_series):
         threshold_for_mean(iid_series, [1e9])
 
 
-def _nearest_by_brute_force(v, target, cross_day):
+def _nearest_by_brute_force(v, target):
     """(q, mean) of the candidate nearest ``target``, the lower q on a tie, from extract_intervals."""
     values = v.values if isinstance(v, NormVolSeries) else v
     means = {}
     for q in [*np.unique(values), np.nextafter(values.min(), -np.inf)]:
         try:
-            means[float(q)] = extract_intervals(v, q, cross_day=cross_day).mean_interval
+            means[float(q)] = extract_intervals(v, q).mean_interval
         except InsufficientEventsError:
             pass
     if not means:
@@ -256,52 +238,46 @@ def _nearest_by_brute_force(v, target, cross_day):
     return min(means.items(), key=lambda qm: (abs(qm[1] - target), qm[0]))
 
 
-@pytest.mark.parametrize("cross_day", [True, False])
-def test_threshold_for_mean_is_nearest_candidate(cross_day):
+def test_threshold_for_mean_is_nearest_candidate():
     v = gen_iid_volatility(3000, seed=7)
-    targets = (1.0, 2.0, 5.0, 8.0, 10.0, 15.0, 20.0, 40.0)
-    expected = [_nearest_by_brute_force(v, t, cross_day) for t in targets]
-    assert threshold_for_mean(v, targets, cross_day=cross_day) == expected
+    targets = (1.0, 2.0, 5.0, 8.0, 10.0, 15.0, 20.0, 40.0, 49.0, 80.0, 300.0)
+    expected = [_nearest_by_brute_force(v, t) for t in targets]
+    assert threshold_for_mean(v, targets) == expected
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     raw=st.lists(st.integers(0, 4), min_size=2, max_size=40),
-    new_day=st.lists(st.booleans(), min_size=40, max_size=40),
     target=st.floats(1.0, 25.0),
-    cross_day=st.booleans(),
 )
-def test_threshold_for_mean_matches_brute_force(raw, new_day, target, cross_day):
-    # small integer values tie often; day labels never decrease
-    raw = np.array(raw, dtype=float)
-    if raw.min() == raw.max():
-        v = raw
-    else:
-        day = np.cumsum(new_day[: len(raw)])
-        v = NormVolSeries(values=raw / np.std(raw), day=day, slot=np.arange(len(raw)))
-    expected = _nearest_by_brute_force(v, target, cross_day)
+def test_threshold_for_mean_matches_brute_force(raw, target):
+    # small integer values tie often
+    v = np.array(raw, dtype=float)
+    expected = _nearest_by_brute_force(v, target)
     if isinstance(expected, str):
         with pytest.raises(UnreachableTargetError, match=expected):
-            threshold_for_mean(v, [target], cross_day=cross_day)
+            threshold_for_mean(v, [target])
     else:
-        assert threshold_for_mean(v, [target], cross_day=cross_day) == [expected]
+        assert threshold_for_mean(v, [target]) == [expected]
 
 
 def test_threshold_for_mean_takes_nearest_of_several_crossings():
-    # the mean interval rises through 15 at three pairs of neighbouring values
+    # going down from the top candidate, whose two points are 49 minutes apart,
+    # the mean interval crosses 80 at four pairs of neighbouring candidates:
+    # 49 to 1055, 80.2 to 77.9, 77.9 to 82.0 and 82.0 to 79.75
     v = gen_iid_volatility(3000, seed=7)
-    assert threshold_for_mean(v, [15.0, 40.0], cross_day=False) == [
-        (3.1273827628191535, 15.011363636363637),
-        (4.30044975415165, 40.0),
+    assert threshold_for_mean(v, [49.0, 80.0]) == [
+        (5.442571858070578, 49.0),
+        (4.22273060446448, 80.21212121212122),
     ]
 
 
 def test_threshold_for_mean_reaches_target_above_top_value_mean():
-    # the highest candidate with a same-day interval has a mean of 17; lower ones reach 40
-    v = gen_iid_volatility(35_000, seed=5)
-    (result,) = threshold_for_mean(v, [40.0], cross_day=False)
-    assert result.mean_interval == 40.0
-    assert extract_intervals(v, result.q, cross_day=False).mean_interval == 40.0
+    # the top candidate has a mean of 49; lower ones reach 300
+    v = gen_iid_volatility(3000, seed=7)
+    (result,) = threshold_for_mean(v, [300.0])
+    assert result.mean_interval == 303.125
+    assert extract_intervals(v, result.q).mean_interval == 303.125
 
 
 # candidate 1.0 keeps positions 0, 2, 4, 6, 8 (mean 2); candidate 2.0 keeps
@@ -334,24 +310,16 @@ def test_threshold_for_mean_small_targets_exist(iid_series):
         assert abs(result.mean_interval - target) <= 0.5
 
 
-def _two_days(raw, day):
-    return NormVolSeries(values=raw / np.std(raw), day=np.array(day), slot=np.arange(571, 571 + len(raw)))
-
-
-def test_threshold_for_mean_same_day_top_candidate():
-    # the two largest values fall on different days, so with cross_day=False the
-    # candidate with the largest mean is the next one down, q = 2, whose one
-    # same-day interval is 3
-    v = _two_days(np.array([9.0, 1, 1, 3, 1, 2, 1, 8, 2, 1, 1, 1]), [0] * 6 + [1] * 6)
-    q1, q2 = v.values[1], v.values[5]
-    assert threshold_for_mean(v, [3.0, 3.5, 2.4], cross_day=False) == [(q2, 3.0), (q2, 3.0), (q1, 2.0)]
-    with pytest.raises(UnreachableTargetError, match="largest reachable mean interval is 3"):
-        threshold_for_mean(v, [3.6], cross_day=False)
-    # across days the top candidate keeps the interval between the two largest
+def test_threshold_for_mean_top_candidate_spans_days():
+    # the two largest values fall on different days; the top candidate keeps
+    # the interval between them, the largest mean of any candidate
+    raw = np.array([9.0, 1, 1, 3, 1, 2, 1, 8, 2, 1, 1, 1])
+    v = NormVolSeries(values=raw / np.std(raw), day=np.repeat([0, 1], 6), slot=np.arange(571, 583))
     assert threshold_for_mean(v, [7.0]) == [(v.values[3], 7.0)]
+    with pytest.raises(UnreachableTargetError, match="largest reachable mean interval is 7"):
+        threshold_for_mean(v, [7.6])
 
 
-def test_threshold_for_mean_no_same_day_interval():
-    v = _two_days(np.array([3.0, 1.0, 2.0]), [0, 1, 2])
+def test_threshold_for_mean_one_point_has_no_interval():
     with pytest.raises(UnreachableTargetError, match="no threshold yields two exceedances"):
-        threshold_for_mean(v, [1.0], cross_day=False)
+        threshold_for_mean(np.array([3.0]), [1.0])

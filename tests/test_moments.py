@@ -269,7 +269,7 @@ def test_moment_stage_extracts_each_grid_threshold_once(iid_series, monkeypatch)
 def test_curves_from_a_sweep_equal_curves_from_the_series():
     v = _series_for_sweep()
     grid = np.arange(1.0, 4.01, 0.1)
-    sweep = sweep_intervals(v, grid, cross_day=True)
+    sweep = sweep_intervals(v, grid)
     for m in (0.5, 2.0):
         a, b = moment_curve(v, m, grid), moment_curve(sweep, m)
         for field in ("q", "mean_tau", "mu", "n_intervals"):

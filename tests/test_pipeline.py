@@ -199,7 +199,7 @@ def test_int32_labels_give_the_same_intervals_and_csv(tmp_path):
     assert wide.day.dtype == wide.slot.dtype == np.int64
     narrow = NormVolSeries(values=wide.values, day=wide.day.astype(np.int32), slot=wide.slot.astype(np.int32))
     for q in (1.5, 3.0):
-        a, b = (extract_intervals(v, q, cross_day=False) for v in (wide, narrow))
+        a, b = (extract_intervals(v, q) for v in (wide, narrow))
         assert a.tau.dtype == b.tau.dtype and np.array_equal(a.tau, b.tau)
         assert a.source_length == b.source_length
     days = [f"day{d}" for d in range(int(wide.day[-1]) + 1)]
