@@ -134,7 +134,6 @@ def cmd_analyze(args) -> int:
 def _add_series_args(p: argparse.ArgumentParser, thresholds: bool = True) -> None:
     p.add_argument("--input", required=True, help="tick or minute CSV (timestamp,price)")
     p.add_argument("--calendar", help="calendar JSON (defaults to two standard sessions)")
-    _switch(p, "--keep-overnight", "drop_overnight", "keep returns spanning session breaks")
     if thresholds:
         p.add_argument("--thresholds", type=_floats, help="comma-separated thresholds (default 2,3,4,5)")
 
@@ -178,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ks-matrix", help="pairwise scaling tests across thresholds")
     _add_series_args(p)
-    _switch(p, "--whole-sample-cv", "overlap_counts", "use whole-sample sizes in the critical value")
     _add_lattice_arg(p)
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(func=cmd_ks_matrix)

@@ -51,8 +51,6 @@ class RunConfig:
     seed: int = 0
     fit_mode: str = "mle"
     refit: bool = False
-    drop_overnight: bool = True
-    overlap_counts: bool = True
     lattice: bool = True
 
     @property
@@ -151,7 +149,7 @@ def validate_config(raw: Mapping[str, Any] | None) -> RunConfig:
     if "fit_mode" in values and values["fit_mode"] not in FIT_MODES:
         problems.append(f"fit_mode must be one of {FIT_MODES}")
         values.pop("fit_mode")
-    for key in ("refit", "drop_overnight", "overlap_counts", "lattice"):
+    for key in ("refit", "lattice"):
         if key in values and not isinstance(values[key], bool):
             problems.append(f"{key} must be true or false")
             values.pop(key)

@@ -350,16 +350,9 @@ def _parse_tick_lines(fh: IO[str]) -> ParsedTicks:
     return ParsedTicks(Ticks(ts[keep], px[keep]), skipped)
 
 
-def _columns(ticks: Ticks | Iterable[TickRecord]) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(ticks, Ticks):
-        return ticks.timestamps, ticks.prices
-    pairs = np.array([(t.timestamp, t.price) for t in ticks], dtype=np.float64).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1]
-
-
-def tick_days(ticks: Ticks | Iterable[TickRecord], utc_offset_minutes: int = 0) -> tuple[date, ...]:
-    """Distinct wall-clock dates covered by ``Ticks`` or ``TickRecord``s, sorted."""
-    day_numbers = sorted_unique((_columns(ticks)[0] + utc_offset_minutes * 60) // 86_400).tolist()
+def tick_days(ticks: Ticks, utc_offset_minutes: int = 0) -> tuple[date, ...]:
+    """Distinct wall-clock dates covered by the ticks, sorted."""
+    day_numbers = sorted_unique((ticks.timestamps + utc_offset_minutes * 60) // 86_400).tolist()
     return tuple(date(1970, 1, 1) + timedelta(days=int(d)) for d in day_numbers)
 
 
@@ -385,14 +378,14 @@ def _nearest_prices(wall: np.ndarray, px: np.ndarray, marks: np.ndarray) -> np.n
     return np.where(dist <= ALIGN_WINDOW_SECONDS, px[idx], np.nan)
 
 
-def sample_minutely(ticks: Ticks | Iterable[TickRecord], cal: TradingCalendar) -> MinuteSeries:
-    """Align ``Ticks`` or ``TickRecord``s to the calendar's minute marks.
+def sample_minutely(ticks: Ticks, cal: TradingCalendar) -> MinuteSeries:
+    """Align the ticks to the calendar's minute marks.
 
     Each mark takes the nearest tick within 30 seconds; an exact tie between
     two ticks goes to the earlier one. Marks with no tick in the window are
     NaN. Raises ``EmptySeriesError`` when nothing lands in any session.
     """
-    ts, px = _columns(ticks)
+    ts, px = ticks.timestamps, ticks.prices
     if not len(ts):
         raise EmptySeriesError("no tick records")
     wall = ts + cal.utc_offset_minutes * 60.0

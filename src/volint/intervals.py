@@ -108,8 +108,7 @@ def extract_intervals(v, q: float) -> IntervalSample:
     pos = np.flatnonzero(values > q)
     if len(pos) < 2:
         raise InsufficientEventsError(len(pos), q)
-    tau = np.diff(pos)
-    return IntervalSample(q=float(q), tau=tau.astype(np.int64), source_length=len(values))
+    return IntervalSample(q=float(q), tau=np.diff(pos), source_length=len(values))
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,8 +7,8 @@ data and replicates alike by the discrete KS distance at the knots.
 
 The two-sample statistic is the sup of |F_i - F_j| over the overlap of the
 two supports. Acceptance at the 95% level uses
-CV = 1.36 / sqrt(m * n / (m + n)); by default m and n count the points
-inside the overlap.
+CV = 1.36 / sqrt(m * n / (m + n)), where m and n count the points inside
+the overlap.
 
 Interval samples are whole minutes, so their scaled values sit on a
 lattice k / <tau> whose step differs per threshold. ``ks_matrix`` therefore
@@ -67,9 +67,7 @@ class KsResult:
         return "accept" if self.accept else "reject"
 
 
-def two_sample_ks(
-    fi: CdfTable | DequantizedCdf, fj: CdfTable | DequantizedCdf, overlap_counts: bool = True
-) -> KsResult:
+def two_sample_ks(fi: CdfTable | DequantizedCdf, fj: CdfTable | DequantizedCdf) -> KsResult:
     """KS distance between two CDF tables of one kind on their support overlap.
 
     The sup runs over the pooled table points inside
@@ -78,16 +76,15 @@ def two_sample_ks(
     functions, so the statistic depends on ranks only. For
     ``DequantizedCdf``s they are the knots, between which both CDFs are
     linear. Either way the sup over the overlap is attained at a pooled
-    point, so the statistic is exact and symmetric in the two samples. With
-    ``overlap_counts`` (default) the effective sizes m, n for the critical
-    value count only the points inside the overlap (``count_in``);
-    otherwise the whole-sample sizes are used.
+    point, so the statistic is exact and symmetric in the two samples. The
+    effective sizes m, n for the critical value count only the points
+    inside the overlap (``count_in``).
 
     Raises
     ------
     NoOverlapError
-        The supports are disjoint, or (with ``overlap_counts``) one sample
-        has no points inside the overlap.
+        The supports are disjoint, or one sample has no points inside the
+        overlap.
     """
     lo = max(float(fi.x[0]), float(fj.x[0]))
     hi = min(float(fi.x[-1]), float(fj.x[-1]))
@@ -96,12 +93,9 @@ def two_sample_ks(
     pooled = sorted_unique(np.concatenate((fi.x, fj.x)))
     pooled = pooled[(pooled >= lo) & (pooled <= hi)]
     stat = float(np.max(np.abs(fi.eval(pooled) - fj.eval(pooled))))
-    if overlap_counts:
-        m, n = fi.count_in(lo, hi), fj.count_in(lo, hi)
-        if m < 1 or n < 1:
-            raise NoOverlapError(f"support overlap [{lo:g}, {hi:g}] contains no points of one sample")
-    else:
-        m, n = fi.n, fj.n
+    m, n = fi.count_in(lo, hi), fj.count_in(lo, hi)
+    if m < 1 or n < 1:
+        raise NoOverlapError(f"support overlap [{lo:g}, {hi:g}] contains no points of one sample")
     return KsResult(statistic=stat, critical=critical_value(m, n), m=m, n=n, overlap=(lo, hi))
 
 
@@ -138,9 +132,7 @@ class KsMatrix:
         ]
 
 
-def ks_matrix(
-    samples: Sequence[IntervalSample], overlap_counts: bool = True, lattice: bool = True
-) -> KsMatrix:
+def ks_matrix(samples: Sequence[IntervalSample], lattice: bool = True) -> KsMatrix:
     """Pairwise scaled-interval KS tests across thresholds.
 
     With ``lattice`` (default) ``two_sample_ks`` compares the
@@ -160,7 +152,7 @@ def ks_matrix(
     for i in range(len(ordered)):
         for j in range(i + 1, len(ordered)):
             try:
-                res = two_sample_ks(tables[i], tables[j], overlap_counts=overlap_counts)
+                res = two_sample_ks(tables[i], tables[j])
             except NoOverlapError as e:
                 raise NoOverlapError(f"pair (q={qs[i]:g}, q={qs[j]:g}): {e}") from e
             pairs.append(KsPair(q_i=qs[i], q_j=qs[j], result=res))

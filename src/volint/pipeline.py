@@ -201,11 +201,9 @@ def load_minutes(cfg: RunConfig) -> tuple[MinuteSeries, dict]:
     return ms, meta
 
 
-def build_volatility(
-    ms: MinuteSeries, cfg: RunConfig
-) -> tuple[NormVolSeries, IntradayPattern, float]:
+def build_volatility(ms: MinuteSeries) -> tuple[NormVolSeries, IntradayPattern, float]:
     """Raw volatility -> intraday pattern -> deseasonalize -> normalize."""
-    raw = compute_volatility(ms, drop_overnight=cfg.drop_overnight)
+    raw = compute_volatility(ms)
     pattern = intraday_pattern(raw)
     flat = deseasonalize(raw, pattern)
     del raw
@@ -216,7 +214,7 @@ def build_volatility(
 def load_normalized(cfg: RunConfig) -> tuple[NormVolSeries, IntradayPattern, float, MinuteSeries, dict]:
     """Convenience composition of ``load_minutes`` and ``build_volatility``."""
     ms, meta = load_minutes(cfg)
-    v, pattern, sd = build_volatility(ms, cfg)
+    v, pattern, sd = build_volatility(ms)
     return v, pattern, sd, ms, meta
 
 
@@ -248,7 +246,7 @@ def stage_ingest(cfg: RunConfig, ctx: dict) -> dict[str, Artifact]:
 
 def stage_volatility(cfg: RunConfig, ctx: dict) -> dict[str, Artifact]:
     ms = ctx["minutes"]
-    v, pattern, sd = build_volatility(ms, cfg)
+    v, pattern, sd = build_volatility(ms)
     ctx["series"] = v
     ctx["summary"]["volatility"] = {"n_points": len(v), "sd_deseasonalized": sd}
     return {
@@ -284,7 +282,7 @@ def stage_intervals(cfg: RunConfig, ctx: dict) -> dict[str, Artifact]:
 
 
 def stage_ks(cfg: RunConfig, ctx: dict) -> dict[str, Artifact]:
-    matrix = ks_matrix(ctx["samples"], overlap_counts=cfg.overlap_counts, lattice=cfg.lattice)
+    matrix = ks_matrix(ctx["samples"], lattice=cfg.lattice)
     pairs = matrix.to_rows()
     ctx["summary"]["ks"] = {"verdict": matrix.verdict, "pairs": pairs}
     return {"ks_matrix.csv": _table(["q_i", "q_j", "ks", "cv", "m", "n", "decision"], pairs)}

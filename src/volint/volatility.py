@@ -90,13 +90,12 @@ class NormVolSeries:
         return len(self.values)
 
 
-def compute_volatility(ms: MinuteSeries, drop_overnight: bool = True) -> VolSeries:
+def compute_volatility(ms: MinuteSeries) -> VolSeries:
     """Absolute log returns between consecutive present minute prices.
 
     Missing minutes are skipped, so a return can span a gap inside a
-    session. With ``drop_overnight`` (the default) any return whose
-    endpoints lie in different (day, session) blocks is dropped, which
-    removes overnight and lunch-break returns.
+    session. Any return whose endpoints lie in different (day, session)
+    blocks is dropped, which removes overnight and lunch-break returns.
 
     Each full-length temporary is released once used: the log and the abs
     are taken in place, and day and slot position come as int32 from one
@@ -117,14 +116,11 @@ def compute_volatility(ms: MinuteSeries, drop_overnight: bool = True) -> VolSeri
     del logp
     np.abs(r, out=r)
 
-    if drop_overnight:
-        # same (day, session) block
-        session = ms.session_id[pos]
-        keep = day[1:] == day[:-1]
-        keep &= session[1:] == session[:-1]
-        del session
-    else:
-        keep = np.ones(len(r), dtype=bool)
+    # same (day, session) block
+    session = ms.session_id[pos]
+    keep = day[1:] == day[:-1]
+    keep &= session[1:] == session[:-1]
+    del session
     if not keep.any():
         raise EmptySeriesError("no within-session returns remain")
     values = r[keep]

@@ -202,7 +202,8 @@ def test_analyze_flag_overrides(tmp_path, corpus_cfg, capsys):
 
 def test_analyze_bad_config_exits_2(tmp_path, corpus_cfg, capsys):
     # a config error exits 2 before the input is read
-    for bad, problem in (({"n_boot": 5}, "n_boot"), ({"cross_day": False}, "unknown key: cross_day")):
+    removed = ("cross_day", "drop_overnight", "overlap_counts")
+    for bad, problem in (({"n_boot": 5}, "n_boot"), *(({k: False}, f"unknown key: {k}") for k in removed)):
         cfg = corpus_cfg(tmp_path / "o", **bad)
         cfg["input"] = str(tmp_path / "never-read.csv")
         cfg_path = tmp_path / "cfg.json"
@@ -413,7 +414,7 @@ def test_volatility_csv_matches_per_row_formatting(corpus_cfg, tmp_path, capsys)
     # the reference formats each row on its own: one isoformat and one float() per row
     run_cfg = validate_config(cfg)
     ms, _ = load_minutes(run_cfg)
-    v, _, _ = build_volatility(ms, run_cfg)
+    v, _, _ = build_volatility(ms)
     rows = ((ms.days[d].isoformat(), int(s), float(x)) for d, s, x in zip(v.day, v.slot, v.values))
     expected = io.StringIO()
     write_rows(expected, ["day", "slot", "v"], rows)
@@ -434,7 +435,13 @@ def test_ks_matrix_output_matches_analyze(analyzed, corpus_cfg, tmp_path, capsys
 
 
 def test_usage_error_exits_2(tmp_path):
-    for args in (["not-a-command"], ["intervals", "--input", str(tmp_path / "never-read.csv"), "--same-day-only"]):
+    never_read = str(tmp_path / "never-read.csv")
+    for args in (
+        ["not-a-command"],
+        ["intervals", "--input", never_read, "--same-day-only"],
+        ["intervals", "--input", never_read, "--keep-overnight"],
+        ["ks-matrix", "--input", never_read, "--whole-sample-cv"],
+    ):
         with pytest.raises(SystemExit) as err:
             main(args)
         assert err.value.code == 2

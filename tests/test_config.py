@@ -19,8 +19,7 @@ def test_empty_config_gives_defaults():
     assert cfg.thresholds == (2.0, 3.0, 4.0, 5.0)
     assert cfg.n_boot == 1000
     assert cfg.fit_mode == "mle"
-    assert cfg.drop_overnight and cfg.overlap_counts
-    assert not cfg.refit
+    assert cfg.lattice and not cfg.refit
 
 
 def test_none_is_empty():
@@ -44,6 +43,8 @@ def test_all_problems_reported_at_once():
         "mystery": 1,
         "tol_mean": 0.5,
         "cross_day": False,
+        "drop_overnight": False,
+        "overlap_counts": False,
     }
     with pytest.raises(ConfigError) as err:
         validate_config(bad)
@@ -55,7 +56,9 @@ def test_all_problems_reported_at_once():
     assert "unknown key: mystery" in text
     assert "unknown key: tol_mean" in text
     assert "unknown key: cross_day" in text
-    assert len(err.value.problems) == 7
+    assert "unknown key: drop_overnight" in text
+    assert "unknown key: overlap_counts" in text
+    assert len(err.value.problems) == 9
 
 
 def test_n_boot_floor():

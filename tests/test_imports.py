@@ -1,8 +1,12 @@
-"""Every volint module uses each name it imports, and no volint process loads scipy.
+"""Every volint module uses each name it imports and every function each
+parameter it takes, and no volint process loads scipy.
 
-A deleted code path should take its imports with it. ``__init__.py`` is
-exempt from the unused-import check because its imports are the package's
-exports. scipy is a test dependency only: the tests use it as a reference.
+A deleted code path should take its imports and parameters with it.
+``__init__.py`` is exempt from the unused-import check because its imports
+are the package's exports. Dunder methods and the pipeline stages are exempt
+from the unused-parameter check because their signatures are fixed by
+numpy's and Python's protocols and by the ``Stage`` type. scipy is a test
+dependency only: the tests use it as a reference.
 """
 
 import ast
@@ -13,6 +17,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from volint.pipeline import STAGES
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "volint"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -65,6 +71,39 @@ def test_string_annotation_counts_as_use():
     assert set(_imported(tree)) <= _used(tree)
     tree = ast.parse("from x import A\n")
     assert "A" not in _used(tree)
+
+
+def _unused_params(tree: ast.Module, exempt: tuple[str, ...] = ()) -> list[tuple[int, str, str]]:
+    """(line, function, parameter) for every parameter its function's body never loads."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name in exempt or (node.name.startswith("__") and node.name.endswith("__")):
+            continue
+        a = node.args
+        used = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg):
+            if arg is not None and arg.arg not in used:
+                found.append((node.lineno, node.name, arg.arg))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    exempt = tuple(stage.__name__ for _, stage in STAGES) if path.name == "pipeline.py" else ()
+    unused = _unused_params(ast.parse(path.read_text(), filename=str(path)), exempt)
+    assert not unused, f"{path.name} has parameters their functions never use: {unused}"
+
+
+def test_unused_parameter_is_found():
+    tree = ast.parse(
+        "def build(ms, cfg):\n    return ms\n\n"
+        "def stage(cfg, ctx):\n    return ctx\n\n"
+        "class A:\n    def __eq__(self, other):\n        return True\n"
+    )
+    assert _unused_params(tree) == [(1, "build", "cfg"), (4, "stage", "cfg")]
+    assert _unused_params(tree, ("stage",)) == [(1, "build", "cfg")]
 
 
 def test_no_module_imports_scipy():

@@ -16,7 +16,6 @@ from volint import (
     FormatError,
     MinuteSeries,
     ParsedTicks,
-    RunConfig,
     SynthSpec,
     TickRecord,
     Ticks,
@@ -189,16 +188,14 @@ def test_sample_no_usable_ticks(tick_csv):
     with pytest.raises(EmptySeriesError):
         sample_minutely(parse_ticks(path).records, cal)
     with pytest.raises(EmptySeriesError):
-        sample_minutely([], cal)
+        sample_minutely(Ticks(np.array([]), np.array([])), cal)
 
 
 def test_sample_rejects_unsorted():
-    from volint.ingest import TickRecord
-
     cal = TradingCalendar.for_days([DAY])
-    recs = [TickRecord(2000.0, 1.0), TickRecord(1000.0, 1.0)]
+    ticks = Ticks(np.array([2000.0, 1000.0]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
-        sample_minutely(recs, cal)
+        sample_minutely(ticks, cal)
 
 
 def test_tick_days(tick_csv):
@@ -222,7 +219,7 @@ def test_tick_days(tick_csv):
 )
 def test_tick_days_at_midnight(offset, expected):
     midnight = 1073347200.0  # 2004-01-06 00:00:00 UTC
-    ticks = [TickRecord(midnight - 0.5, 1.0), TickRecord(midnight, 1.0)]
+    ticks = Ticks(np.array([midnight - 0.5, midnight]), np.array([1.0, 1.0]))
     assert tick_days(ticks, utc_offset_minutes=offset) == expected
 
 
@@ -247,8 +244,11 @@ def test_minute_csv_round_trip_through_midnight_close(tmp_path):
     # the mark of a session closing at 24:00 is written as the next day's 00:00
     cal = TradingCalendar(days=(date(2024, 1, 2), date(2024, 1, 3)), sessions=((1430, 1440),))
     start = timegm((2024, 1, 2, 23, 50, 0))
-    ticks = [TickRecord(start + 60.0 * i, 100.0 + i) for i in range(11)]
-    ticks += [TickRecord(start + 86_400.0 + 60.0 * i, 200.0 + i) for i in range(11)]
+    minutes = 60.0 * np.arange(11)
+    ticks = Ticks(
+        np.concatenate((start + minutes, start + 86_400.0 + minutes)),
+        np.concatenate((100.0 + np.arange(11), 200.0 + np.arange(11))),
+    )
     original = sample_minutely(ticks, cal)
     assert np.isfinite(original.prices).all()
     path = tmp_path / "minutes.csv"
@@ -586,7 +586,7 @@ def test_volatility_memory_is_series_sized(corpus_140k, peak_mib):
     # the series (float64 values, int32 labels) takes 2.1 MiB; int64 labels,
     # full-length temporaries and np.unique's inverse took the peak to 10.9 MiB
     _, ms = corpus_140k
-    assert peak_mib(build_volatility, ms, RunConfig()) < 6
+    assert peak_mib(build_volatility, ms) < 6
 
 
 def test_volatility_writer_streams_by_day(corpus_140k, tmp_path, peak_mib):

@@ -88,10 +88,6 @@ def test_two_sample_counts_inside_overlap_only():
     # at x = 9: F_i = 3/4, F_j = 1/3; at x = 10: F_i = 1, F_j = 1/3
     np.testing.assert_allclose(res.statistic, 2.0 / 3.0, rtol=1e-15)
 
-    whole = two_sample_ks(fi, fj, overlap_counts=False)
-    assert whole.m == 4 and whole.n == 3
-    assert whole.statistic == res.statistic
-
 
 def test_two_sample_disjoint_supports():
     fi = empirical_cdf(np.array([1.0, 2.0]))
@@ -215,9 +211,6 @@ def test_lattice_counts_cells_meeting_the_overlap():
     res = two_sample_ks(fi, fj)
     np.testing.assert_allclose(res.overlap, (0.0, 2.4), rtol=1e-15)
     assert (res.m, res.n) == (3, 2)
-    whole = two_sample_ks(fi, fj, overlap_counts=False)
-    assert (whole.m, whole.n) == (3, 3)
-    assert whole.statistic == res.statistic
 
 
 def test_lattice_disjoint_supports():

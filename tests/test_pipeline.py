@@ -260,7 +260,7 @@ def test_writers_finish_before_a_later_stage_failure(tmp_path, corpus_cfg):
     _assert_no_child_left()
     assert err.value.stage == "intervals"
     ms, _ = load_minutes(cfg)
-    v, _, _ = build_volatility(ms, cfg)
+    v, _, _ = build_volatility(ms)
     write_minute_csv(ms, tmp_path / "minutes.csv")
     _write_volatility_csv([d.isoformat() for d in ms.days], v, tmp_path / "volatility.csv")
     for name in ("minutes.csv", "volatility.csv"):

@@ -76,13 +76,10 @@ def test_session_and_overnight_boundaries():
         slots=[571, 572, 781, 782],
         session_id=[0, 0, 1, 1],
     )
-    kept = compute_volatility(series, drop_overnight=True)
+    kept = compute_volatility(series)
     # within-session pairs only: 2 per day
     assert len(kept.values) == 4
     assert list(kept.slot) == [572, 782, 572, 782]
-
-    everything = compute_volatility(series, drop_overnight=False)
-    assert len(everything.values) == 7
 
 
 def test_too_few_present_minutes():
