@@ -202,8 +202,12 @@ def test_analyze_flag_overrides(tmp_path, corpus_cfg, capsys):
 
 def test_analyze_bad_config_exits_2(tmp_path, corpus_cfg, capsys):
     # a config error exits 2 before the input is read
-    removed = ("cross_day", "drop_overnight", "overlap_counts")
-    for bad, problem in (({"n_boot": 5}, "n_boot"), *(({k: False}, f"unknown key: {k}") for k in removed)):
+    for bad, problem in (
+        ({"n_boot": 5}, "n_boot"),
+        ({"cross_day": False}, "unknown key: cross_day"),
+        ({"drop_overnight": False}, "unknown key: drop_overnight"),
+        ({"overlap_counts": False}, "unknown key: overlap_counts"),
+    ):
         cfg = corpus_cfg(tmp_path / "o", **bad)
         cfg["input"] = str(tmp_path / "never-read.csv")
         cfg_path = tmp_path / "cfg.json"
