@@ -1,9 +1,10 @@
 """Kolmogorov-Smirnov machinery: the two-sample scaling test across
 thresholds, the one-sample distance to a fitted model, and its p-value,
 from the exact Kolmogorov law or, on interval data, a parametric refit
-bootstrap. That bootstrap draws interval counts from the fitted censored
-model, refits them all in lockstep (``lattice.LatticeRefit``) and scores
-data and replicates alike by the discrete KS distance at the knots.
+bootstrap. That bootstrap takes each replicate's refit to first order
+from the fitted censored model's cell masses and scores
+(``lattice._cell_terms``), and scores data and replicates alike by the
+discrete KS distance at the knots.
 
 The two-sample statistic is the sup of |F_i - F_j| over the overlap of the
 two supports. Acceptance at the 95% level uses
@@ -32,8 +33,9 @@ import numpy as np
 from .errors import FitFailureError, NoOverlapError
 from .ingest import sorted_unique
 from .intervals import CdfTable, DequantizedCdf, IntervalSample, empirical_cdf
-from .lattice import LatticeRefit
-from .semodel import FitReport, SEModel, _cdf_rows, se_cdf
+from .lattice import _cell_terms
+from .semodel import GAMMA_BOUNDS, FitReport, SEModel, _cdf_rows, se_cdf
+from .splitmix import standard_normals
 
 _PI2 = math.pi**2
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -364,32 +366,39 @@ def _knot_grid(sample: IntervalSample) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(1.0, len(per_cell) + 1.0) / sample.mean_interval, np.cumsum(per_cell) / len(sample)
 
 
-def _knot_distances(x: np.ndarray, f_n: np.ndarray, a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """max_k |F_n(x_k) - F(x_k)| per row of ``f_n``, F the normalized member (a, gamma) of its row."""
-    gap = _cdf_rows(a, g, x)
-    gap -= f_n
-    return np.abs(gap, out=gap).max(axis=1, initial=0.0)
-
-
-# replicates drawn, refitted and scored together in one block of the lattice bootstrap
+# replicates drawn and scored together in one block of the lattice bootstrap
 _BOOT_ROWS = 100
 
 
-def _lattice_replicates(sample: IntervalSample, model: SEModel, n_boot: int, seed) -> tuple[float, int, int]:
-    """(knot distance, replicates beyond it, failed refits) of the lattice bootstrap; see ``bootstrap_pvalue``."""
+def _lattice_replicates(sample: IntervalSample, model: SEModel, n_boot: int, seed: int) -> tuple[float, int]:
+    """(knot distance, replicates beyond it) of the linearised lattice bootstrap; see ``bootstrap_pvalue``."""
     x, f_n = _knot_grid(sample)
-    ks = float(_knot_distances(x, f_n[None], np.array([model.a]), np.array([model.gamma]))[0])
-    n = len(sample)
-    refit = LatticeRefit(model, len(x), 1.0 / sample.mean_interval)
-    rng = np.random.default_rng(seed)
-    n_exceed = n_failed = 0
-    for lo in range(0, n_boot, _BOOT_ROWS):
-        counts = rng.multinomial(n, refit.cell_p, size=min(_BOOT_ROWS, n_boot - lo))
-        a, g, ok = refit.fit(counts)
-        n_failed += int(np.sum(~ok))
-        f_boot = np.cumsum(counts[ok, :-1], axis=1) / n
-        n_exceed += int(np.sum(_knot_distances(x, f_boot, a[ok], g[ok]) > ks))
-    return ks, n_exceed, n_failed
+    ks = float(np.abs(_cdf_rows(np.array([model.a]), np.array([model.gamma]), x)[0] - f_n).max(initial=0.0))
+    n, k, m = len(sample), len(x), len(x) + 1
+    terms = _cell_terms(model.a, model.gamma, np.arange(1.0, m + 1.0), 1.0 / sample.mean_interval, m)[0]
+    p, score = np.exp(terms[0]), terms[1:]
+    i_tt, i_tg, i_gg = (np.vecdot(p * score[i], score[j]) for i, j in ((0, 0), (0, 1), (1, 1)))  # I / n
+    det = i_tt * i_gg - i_tg * i_tg
+    if not (np.isfinite(det) and det > 1e-10 * i_tt * i_gg):
+        raise FitFailureError("the model's Fisher information on the lattice cells is singular")
+    cdf, grad = np.cumsum(p)[:k], np.cumsum(p * score, axis=1)[:, :k]  # F and G at the knots
+    rows = np.sqrt(p) * np.array([np.ones(m), *score])
+    # -1 or 1 where gamma sits on the lower or upper bound: a step that would leave it moves log a alone
+    pin = -1 if model.gamma <= GAMMA_BOUNDS[0] else 1 if model.gamma >= GAMMA_BOUNDS[1] else 0
+    n_exceed = 0
+    for first in range(0, n_boot, _BOOT_ROWS):
+        z = standard_normals(seed, first * m, min(first + _BOOT_ROWS, n_boot) * m).reshape(-1, m)
+        # sqrt(p) . z, and sum_j y_j d_j / sqrt(n), as sum_j p_j d_j = 0 (the gradient of sum_j p_j = 1);
+        # delta, Y / n and so each distance are taken sqrt(n) times too large
+        proj = np.vecdot(z[:, None, :], rows)
+        d_t, d_g = (i_gg * proj[:, 1] - i_tg * proj[:, 2]) / det, (i_tt * proj[:, 2] - i_tg * proj[:, 1]) / det
+        pinned = pin * d_g > 0
+        d_t, d_g = np.where(pinned, proj[:, 1] / i_tt, d_t), np.where(pinned, 0.0, d_g)
+        z *= rows[0]
+        gap = np.cumsum(z, axis=1)[:, :k] - proj[:, :1] * cdf
+        gap -= d_t[:, None] * grad[0] + d_g[:, None] * grad[1]
+        n_exceed += int(np.sum(np.abs(gap, out=gap).max(axis=1) > ks * math.sqrt(n)))
+    return ks, n_exceed
 
 
 def bootstrap_pvalue(
@@ -414,20 +423,27 @@ def bootstrap_pvalue(
 
     With ``refit=True`` it is a parametric bootstrap of ``n_boot``
     replicates, each refitted and compared against its own fit, and
-    p = #(KS_sim > ks) / #completed (Clauset, Shalizi & Newman 2009). It
-    takes only lattice input, the view ``IntervalSample.scaled()`` returns,
-    and raises ``ValueError`` on anything else. ``ks`` is the knot distance
-    max_k |C_k / n - F(k h)| (``_knot_grid``), h = 1 / <tau>. A replicate is
-    n interval counts drawn by one multinomial over the cells
-    ((k-1) h, k h], k = 1 ... K, and the open tail (K h, inf), with the
-    model's censored cell masses. ``LatticeRefit`` refits every replicate by
-    the censored likelihood, all in lockstep from the model's (a, gamma),
-    and each is scored by the knot distance to its own fit. The replicates
-    come from one ``numpy.random.default_rng(seed)``, ``_BOOT_ROWS`` at a
-    time, which draws the same counts as one call for all of them; a refit's
-    bits do not depend on the others in its block, so neither does p.
-    Replicates whose refit fails are dropped and counted: a refit fails
-    where a replicate occupies one cell or its optimum is not finite.
+    p = #(KS_sim > ks) / n_boot (Clauset, Shalizi & Newman 2009). It takes
+    only lattice input, the view ``IntervalSample.scaled()`` returns, and
+    raises ``ValueError`` on anything else. ``ks`` is the knot distance
+    max_k |C_k / n - F(k h)| (``_knot_grid``), h = 1 / <tau>. Each refit is
+    its first-order step from the fitted model, the fast large-sample form
+    of the parametric bootstrap (Kojadinovic, Yan & Holmes 2011; Durbin
+    1973), built from the model's masses p_j and scores d_j = grad log p_j
+    in (log a, gamma) over the cells ((j-1) h, j h], j = 1 ... K, and the
+    open tail (K h, inf). A replicate moves the cell counts by
+    y = sqrt(n) (sqrt(p) z - p (sqrt(p) . z)), z standard normal, which has
+    the multinomial covariance, and its estimate by
+    delta = I^-1 sum_j y_j d_j, I = n sum_j p_j d_j d_j^T, or in log a alone
+    where gamma sits on a bound of ``GAMMA_BOUNDS`` that delta would leave.
+    Its distance is max_k |Y_k / n - G_k . delta|, Y the cumulative sum of y
+    and G_k = sum_(j <= k) p_j d_j the gradient of F(k h). z comes from
+    ``splitmix.standard_normals`` of ``seed`` (None takes 0), normal
+    r (K + 1) + j for cell j of replicate r, ``_BOOT_ROWS`` replicates at a
+    time, so p does not depend on the block size. Every sum is a
+    ``np.vecdot`` or a ``np.cumsum``, so p has the same bits at any BLAS
+    thread count. Raises ``FitFailureError`` where I is singular, as when
+    the model puts nearly all its mass in one cell.
     """
     if n_boot < 1:
         raise ValueError("n_boot must be >= 1")
@@ -436,12 +452,9 @@ def bootstrap_pvalue(
         raise ValueError("refit=True takes interval data as the lattice view IntervalSample.scaled()")
     n = len(sample)
     observed = sample if lattice is None else lattice
-    n_failed = 0
     if refit:
-        ks_obs, n_exceed, n_failed = _lattice_replicates(lattice, model, n_boot, seed)
-        if n_failed == n_boot:
-            raise FitFailureError("every bootstrap replicate failed to refit")
-        p = n_exceed / (n_boot - n_failed)
+        ks_obs, n_exceed = _lattice_replicates(lattice, model, n_boot, 0 if seed is None else seed)
+        p = n_exceed / n_boot
     else:
         ks_obs = one_sample_ks(observed, model)
         p = kolmogorov_sf(ks_obs, n)
@@ -454,7 +467,6 @@ def bootstrap_pvalue(
         n_boot=n_boot,
         seed=seed if isinstance(seed, int) else None,
         q=observed.q if isinstance(observed, IntervalSample) else None,
-        n_failed_refits=n_failed,
     )
 
 

@@ -7,15 +7,16 @@ Nakagawa & Osaki 1975). A cell's mass is P(1/gamma, a h**gamma) for the
 first cell and Gauss-Legendre quadrature of the density for the others (12
 points, or 6 for narrow cells away from 0), which avoids the cancellation
 in a difference of two nearly equal survival values; a cell too wide in u
-for the rule, and the open tail cell of a bootstrap replicate, take that
-difference, which then cannot cancel.
+for the rule, and an open tail cell, take that difference, which then
+cannot cancel.
 
 The censored likelihood has no closed-form a(gamma), so safeguarded Newton
 runs in (log a, gamma) jointly, with the gradient and Hessian in closed
-form at the quadrature nodes. Its runs go in lockstep: the three starts of
-one fit (``fit_lattice``, which ``semodel.fit_mle`` calls for lattice
-input), or every replicate of a refit bootstrap (``LatticeRefit``), each
-pass evaluating the cells of all runs still moving at once.
+form at the quadrature nodes. The three starts of one fit
+(``fit_lattice``, which ``semodel.fit_mle`` calls for lattice input) run in
+lockstep, each pass evaluating the cells of all runs still moving at once.
+``_cell_terms`` gives one model's cell masses and scores, from which the
+lattice bootstrap of ``kstest`` takes each replicate's linearised refit.
 """
 
 from __future__ import annotations
@@ -94,20 +95,15 @@ def _cell_edges(t, g, log_lo: np.ndarray, log_hi: np.ndarray):
     return u_lo, u_hi, (u_lo == 0.0) | (u_hi - u_lo > _WIDE_CELL)
 
 
-def _cell_log_p(a: float, g: float, k: np.ndarray, h: float, k_open: float = math.inf):
-    """(log p, u at (k-1) h, u at k h) of the model's mass in each cell ((k-1) h, k h]; cell ``k_open`` is open."""
+def _cell_terms(a: float, g: float, k: np.ndarray, h: float, k_open: float = math.inf):
+    """(rows, u at (k-1) h, u at k h) of the model's mass in each cell ((k-1) h, k h]; cell ``k_open`` is open.
+
+    The rows are each cell's log p and its score, d log p / d(log a, gamma).
+    """
     t, grid = math.log(a), _grid(k, h, k_open)
     cells = _Cells(grid, np.zeros(len(k), dtype=np.intp), np.arange(len(k)), np.ones(len(k)))
-    log_p = _cell_derivs(np.array([t]), np.array([g]), np.zeros(1, dtype=bool), cells)[0]
-    return log_p, *_cell_edges(t, g, grid.log_lo, grid.log_hi)[:2]
-
-
-def _censored_nll(params: np.ndarray, k: np.ndarray, count: np.ndarray, h: float) -> float:
-    """Negative log-likelihood of lattice counts: tau = k lies in ((k-1) h, k h]."""
-    a, g = params
-    if a <= 0 or g <= 0:
-        return np.inf
-    return -float(np.bincount(np.zeros(len(k), dtype=np.intp), count * _cell_log_p(a, g, k, h)[0])[0])
+    terms = _cell_derivs(np.array([t]), np.array([g]), np.ones(1, dtype=bool), cells)
+    return terms[:3], *_cell_edges(t, g, grid.log_lo, grid.log_hi)[:2]
 
 
 def _t_derivs(s, u_lo: np.ndarray, u_hi: np.ndarray, log_p: np.ndarray):
@@ -223,21 +219,17 @@ def _node_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", x, y)
 
 
-def _run_sums(terms: np.ndarray, cells: _Cells, free: np.ndarray):
-    """Each run's log-likelihood, gradient and Hessian from its cells' ``_cell_derivs`` columns.
+def _censored_derivs(t: np.ndarray, g: np.ndarray, free: np.ndarray, cells: _Cells):
+    """Censored log-likelihood of each run at its (t = log a, gamma), with its gradient and Hessian.
 
-    Each sum is a ``np.bincount`` in cell order, so its bits depend on
-    neither the other runs nor the BLAS thread count. A run whose gamma is
-    not ``free`` gets a gamma curvature of -1, so that only t moves.
+    Each is a ``np.bincount`` in cell order, so its bits depend on neither
+    the other runs nor the BLAS thread count. A run whose gamma is not
+    ``free`` gets a gamma curvature of -1, so that only t moves.
     """
+    terms = _cell_derivs(t, g, free, cells)
     ll, d_t, d_g, d_tt, d_tg, d_gg = (np.bincount(cells.run, cells.count * row, len(free)) for row in terms)
     d_gg[~free] = -1.0
-    return ll, (d_t, d_g), (d_tt, d_tg, d_gg)
-
-
-def _censored_derivs(t: np.ndarray, g: np.ndarray, free: np.ndarray, cells: _Cells):
-    """Censored log-likelihood of each run at its (t = log a, gamma), with its gradient and Hessian."""
-    return _run_sums(_cell_derivs(t, g, free, cells), cells, free)
+    return ll, np.array([d_t, d_g]), np.array([d_tt, d_tg, d_gg])
 
 
 def _newton_step(g: np.ndarray, grad, hess) -> tuple[np.ndarray, np.ndarray]:
@@ -256,7 +248,7 @@ def _newton_step(g: np.ndarray, grad, hess) -> tuple[np.ndarray, np.ndarray]:
     return dt * scale, dg * scale
 
 
-def _censored_newton(t, g, free: np.ndarray, cells: _Cells, first=None):
+def _censored_newton(t, g, free: np.ndarray, cells: _Cells):
     """Maximize each run's censored likelihood from its (t = log a, gamma) by safeguarded Newton, in lockstep.
 
     A step solves the 2x2 Newton system where the Hessian is negative
@@ -269,14 +261,12 @@ def _censored_newton(t, g, free: np.ndarray, cells: _Cells, first=None):
     leaves only rounding after it. Each pass evaluates, for the runs still
     moving and only on their cells, the likelihood at their trial points;
     every run follows the same rules as it would alone, so its bits do not
-    depend on the others. ``first``, when given, is ``_censored_derivs`` at
-    the start. Returns the log-likelihood at the last iterate evaluated, and
-    (t, gamma) after the last step, one entry per run.
+    depend on the others. Returns the log-likelihood at the last iterate
+    evaluated, and (t, gamma) after the last step, one entry per run.
     """
     lo, hi = GAMMA_BOUNDS
     t, g = np.array(t, dtype=np.float64), np.array(g, dtype=np.float64)
-    ll, grad, hess = first or _censored_derivs(t, g, free, cells)
-    grad, hess = np.array(grad), np.array(hess)
+    ll, grad, hess = _censored_derivs(t, g, free, cells)
     dt, dg = _newton_step(g, grad, hess)
     moving = np.ones(len(t), dtype=bool)
     for _ in range(_MAX_PASSES):
@@ -287,7 +277,7 @@ def _censored_newton(t, g, free: np.ndarray, cells: _Cells, first=None):
         trial_ll, trial_grad, trial_hess = _censored_derivs(trial_t, trial_g, free, cells.of_runs(moving))
         accept = moving & (trial_ll >= ll - 1e-13 * np.abs(ll))
         t[accept], g[accept], ll[accept] = trial_t[accept], trial_g[accept], trial_ll[accept]
-        grad[:, accept], hess[:, accept] = np.array(trial_grad)[:, accept], np.array(trial_hess)[:, accept]
+        grad[:, accept], hess[:, accept] = trial_grad[:, accept], trial_hess[:, accept]
         new_dt, new_dg = _newton_step(g, grad, hess)
         dt = np.where(accept, new_dt, np.where(moving, 0.5 * dt, dt))
         dg = np.where(accept, new_dg, np.where(moving, 0.5 * dg, dg))
@@ -324,48 +314,3 @@ def fit_lattice(k: np.ndarray, count: np.ndarray, h: float, k_open: float = math
     if not (np.isfinite(ll) and 0.0 < a < np.inf):
         raise FitFailureError("censored likelihood has no finite optimum", best=(a, g))
     return SEModel.normalized(a=a, gamma=g)
-
-
-class LatticeRefit:
-    """Censored MLE refits, in lockstep, of count vectors drawn from one fitted model.
-
-    A count vector has one entry per cell ((k-1) h, k h], k = 1 ... K, and a
-    last one for the open tail (K h, inf). Every refit starts at the
-    model's (log a, gamma). There every vector shares the per-cell terms of
-    the first Newton pass, so they are computed once, here, over all K + 1
-    cells; ``cell_p`` are the model's cell masses. Later passes evaluate
-    only the occupied cells of the vectors still moving.
-    """
-
-    def __init__(self, model: SEModel, n_cells: int, h: float):
-        self.grid = _grid(np.arange(1.0, n_cells + 2.0), h, n_cells + 1.0)
-        self.start = (math.log(model.a), model.gamma)
-        every = _Cells(self.grid, np.zeros(n_cells + 1, dtype=np.intp), np.arange(n_cells + 1), np.ones(n_cells + 1))
-        self.terms = _cell_derivs(np.array([self.start[0]]), np.array([model.gamma]), np.ones(1, dtype=bool), every)
-        self.cell_p = np.exp(self.terms[0])
-
-    def fit(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(a, gamma, ok) of each row's refit; ``ok`` is False where it failed.
-
-        A refit fails where the row occupies a single cell, so that the
-        likelihood has no interior maximum, or where its optimum is not
-        finite; its a and gamma are then NaN.
-        """
-        rows = len(counts)
-        row, col = np.nonzero(counts)
-        fits = np.bincount(row, minlength=rows) >= 2
-        keep = fits[row]
-        row, col = row[keep], col[keep]
-        cells = _Cells(self.grid, (np.cumsum(fits) - 1)[row], col, counts[row, col])
-        n_runs = int(np.sum(fits))
-        free = np.ones(n_runs, dtype=bool)
-        first = _run_sums(self.terms[:, col], cells, free)
-        ll, t, g = _censored_newton(np.full(n_runs, self.start[0]), np.full(n_runs, self.start[1]), free, cells, first)
-        with np.errstate(over="ignore"):
-            a = np.exp(t)
-        good = np.isfinite(ll) & (0.0 < a) & (a < np.inf)
-        ok = np.zeros(rows, dtype=bool)
-        ok[fits] = good
-        a_out, g_out = np.full(rows, np.nan), np.full(rows, np.nan)
-        a_out[ok], g_out[ok] = a[good], g[good]
-        return a_out, g_out, ok

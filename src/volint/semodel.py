@@ -529,9 +529,7 @@ class FitReport:
     the one-sample KS distance of the data to the model, or, from the refit
     bootstrap, which takes only interval data, the discrete KS distance at
     the knots max_k |C_k / n - F(k / <tau>)|. ``n_boot`` is the configured
-    replicate count, which only a refit bootstrap draws, and
-    ``n_failed_refits`` counts bootstrap replicates dropped because their
-    refit failed (only possible with refit=True).
+    replicate count, which only a refit bootstrap draws.
     """
 
     model: SEModel
@@ -542,7 +540,6 @@ class FitReport:
     n_boot: int = 0
     seed: int | None = None
     q: float | None = None
-    n_failed_refits: int = 0
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -557,5 +554,4 @@ class FitReport:
             "p": self.p,
             "n_boot": self.n_boot,
             "seed": self.seed,
-            "n_failed_refits": self.n_failed_refits,
         }

@@ -168,3 +168,14 @@ def test_cli_and_analyze_load_no_openssl(tmp_path, corpus_cfg):
         f"print({run}, '_hashlib' in sys.modules)"
     )
     assert (lines[0], lines[-1]) == ("False", "0 False")
+
+
+def test_refit_analyze_loads_no_numpy_random_or_openssl(tmp_path, corpus_cfg):
+    # the lattice bootstrap draws its normals from volint.splitmix: numpy.random
+    # would import secrets, and with it hashlib and OpenSSL's libcrypto
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(corpus_cfg(tmp_path / "out", refit=True)))
+    run = f"main(['analyze', '--config', {str(cfg)!r}])"
+    loaded = "[m for m in ('numpy.random', '_hashlib') if m in sys.modules]"
+    lines = _python(f"import sys; from volint.cli import main; print({run}, {loaded})")
+    assert lines[-1] == "0 []"

@@ -32,9 +32,8 @@ from volint.lattice import (
     _WIDE_CELL,
     _Cells,
     _cell_edges,
-    _cell_log_p,
+    _cell_terms,
     _censored_derivs,
-    _censored_nll,
     _grid,
 )
 from volint.semodel import GAMMA_BOUNDS, _gammainc, _profile_nll
@@ -258,6 +257,14 @@ def test_fit_mle_censored_recovers_stretched_exponential():
     for mean in (5.0, 20.0):
         sample = IntervalSample(q=1.0, tau=np.ceil(x * mean).astype(np.int64), source_length=1)
         assert abs(fit_mle(sample.scaled()).gamma / 0.38 - 1.0) < 0.03
+
+
+def _censored_nll(params: np.ndarray, k: np.ndarray, count: np.ndarray, h: float) -> float:
+    """Negative log-likelihood of lattice counts: tau = k lies in ((k-1) h, k h]."""
+    a, g = params
+    if a <= 0 or g <= 0:
+        return np.inf
+    return -float(np.bincount(np.zeros(len(k), dtype=np.intp), count * _cell_terms(a, g, k, h)[0][0])[0])
 
 
 def test_fit_mle_censored_far_tail_stays_finite():
@@ -496,7 +503,7 @@ def _scipy_cell_log_p(a, g, k, h):
 
 def _cell_log_p_error(a, g, k, h):
     """(largest |log p - scipy's|, widths in u) over the cells scipy gets right."""
-    log_p, u_lo, u_hi = _cell_log_p(a, g, k, h)
+    (log_p, _, _), u_lo, u_hi = _cell_terms(a, g, k, h)
     assert np.all(np.isfinite(log_p)) and np.all(log_p <= 0.0)
     ref, q_lo, q_hi = _scipy_cell_log_p(a, g, k, h)
     # where the survival difference loses no more than one bit, and away
@@ -527,7 +534,7 @@ def test_cell_log_p_exponential_far_tail():
     # gamma = 1 has the closed form p_k = exp(-a (k - 1) h) (1 - exp(-a h))
     k = np.arange(1.0, 3_001.0)
     for a, h in ((1.0, 0.01), (3.0, 0.3), (1000.0, 1.0)):
-        log_p = _cell_log_p(a, 1.0, k, h)[0]
+        log_p = _cell_terms(a, 1.0, k, h)[0][0]
         exact = -a * (k - 1.0) * h + np.log(-np.expm1(-a * h))
         np.testing.assert_allclose(log_p, exact, rtol=1e-13, atol=1e-12)
 
@@ -568,4 +575,3 @@ def test_fit_report_dict():
     assert d["p"] == 0.44
     assert d["n"] == 1234
     assert d["seed"] == 7
-    assert d["n_failed_refits"] == 0
